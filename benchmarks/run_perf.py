@@ -35,7 +35,11 @@ The ``sim_benches`` section is the streaming events/sec lane: a
 reference path (``sim_events_per_sec_ring_reference``, same scenario,
 fewer rounds) -- their ratio is the streaming speedup -- plus a
 bandwidth-cap stream and the Definition 6 checker throughput on a warm
-firewall trace.  These run in ``--quick`` mode too.
+firewall trace.  The ``trace_check_*_800`` / ``_1600`` lanes check long
+firewall and bandwidth-cap (cap 8, a 10-configuration chain) runtime
+traces, where a cost that grows faster than the trace shows up as a
+falling positions/sec from 800 to 1600.  These run in ``--quick`` mode
+too.
 
 ``obs_overhead_noop`` pins the uninstalled cost of the
 :mod:`repro.obs` instrumentation hooks (span / counter / histogram
@@ -50,6 +54,7 @@ import argparse
 import gc
 import json
 import platform
+import random
 import statistics
 import time
 from pathlib import Path
@@ -58,6 +63,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.apps.base import HOSTS
 from repro.consistency.checker import NESChecker
+from repro.consistency.traces import NetworkTrace
 from repro.events.ets_to_nes import nes_of_ets
 from repro.events.locality import (
     is_locally_determined,
@@ -326,6 +332,45 @@ def _bench_trace_check_throughput() -> Tuple[int, float]:
     return len(trace.packets), elapsed
 
 
+# Long runtime traces for the checker lanes: sequential request/reply
+# pings between seeded host pairs (as in perfbench's stream_verify) until
+# the trace holds ``positions``.  The trace is seeded and built once; each
+# round checks a fresh copy (happens-before is cached on a trace) with a
+# warm checker, as a controller checking a stream of executions would.
+_LONG_TRACES: Dict[Tuple[str, int], Tuple[NetworkTrace, NESChecker]] = {}
+
+
+def _long_trace(family: str, positions: int) -> Tuple[NetworkTrace, NESChecker]:
+    key = (family, positions)
+    if key not in _LONG_TRACES:
+        app = firewall_app() if family == "firewall" else bandwidth_cap_app(8)
+        hosts = [h.name for h in app.topology.hosts]
+        rng = random.Random(positions)
+        rt = app.runtime(seed=0)
+        ident = 0
+        while len(rt.recorder.positions) < positions:
+            src, dst = rng.sample(hosts, 2)
+            for a, b in ((src, dst), (dst, src)):
+                rt.inject(a, {"ip_dst": HOSTS[b], "ip_src": HOSTS[a], "ident": ident})
+                rt.run_until_quiescent()
+                ident += 1
+        _LONG_TRACES[key] = (rt.network_trace(), NESChecker(app.nes, app.topology))
+    trace, checker = _LONG_TRACES[key]
+    return NetworkTrace(trace.packets, trace.trace_indices), checker
+
+
+def _trace_check_lane(family: str, positions: int) -> Callable[[], Tuple[int, float]]:
+    def bench() -> Tuple[int, float]:
+        trace, checker = _long_trace(family, positions)
+        start = time.perf_counter()
+        report = checker.check(trace)
+        elapsed = time.perf_counter() - start
+        assert report, report.reason
+        return len(trace.packets), elapsed
+
+    return bench
+
+
 # (name, bench, max_rounds): the reference lane is ~10x slower on the
 # same scenario, so it caps its rounds instead of shrinking the stream
 # (the ratio must be read at matched scale).
@@ -334,6 +379,10 @@ SIM_BENCHES: Tuple[Tuple[str, Callable[[], Tuple[int, float]], Optional[int]], .
     ("sim_events_per_sec_ring_reference", _bench_sim_events_ring_reference, 3),
     ("sim_events_per_sec_cap", _bench_sim_events_cap, None),
     ("trace_check_throughput", _bench_trace_check_throughput, None),
+    ("trace_check_firewall_800", _trace_check_lane("firewall", 800), None),
+    ("trace_check_firewall_1600", _trace_check_lane("firewall", 1600), None),
+    ("trace_check_cap8_800", _trace_check_lane("cap", 800), None),
+    ("trace_check_cap8_1600", _trace_check_lane("cap", 1600), None),
 )
 
 

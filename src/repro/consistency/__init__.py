@@ -4,6 +4,7 @@ from .checker import NESChecker, check_trace_against_nes
 from .traces import (
     HappensBefore,
     NetworkTrace,
+    TraceMembership,
     TraceValidationError,
     packet_trace_follows,
     packet_trace_in_traces,
@@ -23,6 +24,7 @@ __all__ = [
     "packet_trace_follows",
     "packet_trace_in_traces",
     "position_event_masks",
+    "TraceMembership",
     "EventDrivenUpdate",
     "first_occurrences",
     "CorrectnessReport",

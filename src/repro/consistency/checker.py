@@ -7,23 +7,42 @@ consistent update.  The checker searches the (finite) space of allowed
 sequences; it is the empirical counterpart of Theorem 1 and is exercised
 by the test suite against traces produced by the runtime semantics.
 
-With ``SimOptions(mask_digests=True)`` (the default) the whole search
-runs on interned event bitmasks: per-position match masks are computed
-once per trace, candidate sequences are pruned and enumerated on ints,
-first occurrences and the quiet case test single bits, and
-``Traces(C)`` membership is memoized across candidate sequences (the
-chains share prefixes, so the same (configuration, packet-trace) pairs
-recur).  Candidate sequences are enumerated *lazily* in the same
-preorder as before, so a correct trace early-exits after its first
-matching sequence -- ``sequences_tried`` counts how many Definition 2
-checks the last :meth:`NESChecker.check` actually ran.  The off-position
-(``SimOptions(mask_digests=False)``) retains the frozenset reference
-path; verdicts are identical either way.
+A check costs about linear time in the trace length:
+
+* Happens-before is built once per trace as one int bitset per position
+  (:class:`~repro.consistency.traces.HappensBefore`), so each
+  "wholly before / after event ``e_i``" clause is a bit test.
+* ``Traces(C)`` membership goes through one per-check
+  :class:`~repro.consistency.traces.TraceMembership`.  Link hops are
+  decided once per packet trace, since they do not depend on ``C``.
+  Switch steps are memoized on (interned switch table, located packet),
+  so the configurations of a candidate chain that agree at a switch
+  share its steps.  The memo is dropped when the check returns: the next
+  trace's packets rarely repeat this one's, so a longer-lived memo only
+  grows the heap (and with it the collector's work in the process that
+  produced the traces).
+* Definition 2 asks a packet trace only the membership questions its
+  clauses need; the full account of which configurations process it is
+  computed only to report a violation.
+
+With ``SimOptions(mask_digests=True)`` (the default) the event side of
+the search runs on interned event bitmasks: per-position match masks
+are computed once per trace, candidate sequences are pruned and
+enumerated on ints, and first occurrences and the quiet case test
+single bits.  Candidate sequences are enumerated *lazily* in a fixed
+preorder, so a correct trace early-exits after its first matching
+sequence -- ``sequences_tried`` counts how many Definition 2 checks the
+last :meth:`NESChecker.check` actually ran.  The off-position
+(``SimOptions(mask_digests=False)``) matches events on frozensets; the
+verdicts, reasons and ``sequences_tried`` are identical either way.
+The definitional references -- the frozenset happens-before closure
+and :func:`~repro.consistency.traces.packet_trace_in_traces` per
+(configuration, packet trace) -- are the test suite's oracles.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..events.event import Event
 from ..events.nes import NES
@@ -31,10 +50,11 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..netkat.compiler import Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
+from ..netkat.flowtable import Rule
 from ..sim_options import SimOptions
 from ..stateful.ast import StateVector
 from ..topology import Topology
-from .traces import NetworkTrace, packet_trace_in_traces, position_event_masks
+from .traces import NetworkTrace, TraceMembership, position_event_masks
 from .update import CorrectnessReport, EventDrivenUpdate, check_update_correctness
 
 __all__ = ["NESChecker", "check_trace_against_nes"]
@@ -58,6 +78,8 @@ class NESChecker:
         self._builder = FDDBuilder()
         self._configs: Dict[StateVector, Configuration] = {}
         self._configs_by_mask: Dict[int, Configuration] = {}
+        self._table_ids: Dict[Tuple[Rule, ...], int] = {}
+        self._table_keys_of: Dict[Configuration, Dict[int, int]] = {}
         self._ambient: FrozenSet[Event] = frozenset(nes.events)
         # Number of candidate sequences the last check() ran Definition 2
         # on (the lazy-enumeration counter hook).
@@ -114,31 +136,25 @@ class NESChecker:
             if self._mask
             else None
         )
-        quiet = self._check_no_events(trace, masks)
+        membership = TraceMembership(trace, self.topology, self._table_keys)
+        quiet = self._check_no_events(trace, membership, masks)
         if quiet is not None:
             return quiet
 
-        happens_before = None
-        membership = self._membership_memo() if self._mask else None
         ambient_mask = self.nes.structure.all_mask
         reports: List[CorrectnessReport] = []
         for sequence, bits in self._candidate_sequences(trace, masks):
             self.sequences_tried += 1
             update = self._update_of_sequence(sequence, bits)
-            if self._mask:
-                if happens_before is None:
-                    happens_before = trace.happens_before()
-                report = check_update_correctness(
-                    trace,
-                    update,
-                    happens_before=happens_before,
-                    position_masks=masks,
-                    event_bits=bits,
-                    ambient_mask=ambient_mask,
-                    membership=membership,
-                )
-            else:
-                report = check_update_correctness(trace, update)
+            # Without masks (None) first_occurrences matches on frozensets.
+            report = check_update_correctness(
+                trace,
+                update,
+                position_masks=masks,
+                event_bits=bits,
+                ambient_mask=ambient_mask,
+                membership=membership,
+            )
             if report:
                 return report
             reports.append(report)
@@ -156,25 +172,29 @@ class NESChecker:
                 return report
         return reports[0]
 
-    def _membership_memo(self) -> Callable:
-        """A per-check ``Traces(C)`` membership memo: candidate chains
-        share configuration prefixes, so the same (configuration,
-        packet-trace) pairs recur across sequences.  Configurations are
-        cached on the checker, so their ids are stable keys here."""
-        memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+    def _table_keys(self, config: Configuration) -> Dict[int, int]:
+        """Switch -> interned key of the configuration's table there.
 
-        def member(config: Configuration, trace: NetworkTrace, t) -> bool:
-            key = (id(config), t)
-            hit = memo.get(key)
-            if hit is None:
-                hit = packet_trace_in_traces(config, trace.packet_trace(t))
-                memo[key] = hit
-            return hit
-
-        return member
+        Tables with equal rules share a key, so :class:`TraceMembership`
+        steps a packet once for every configuration that agrees at its
+        switch.  Configurations are cached on the checker, so their keys
+        are too (a few ints per configuration, unlike the step memo).
+        """
+        keys = self._table_keys_of.get(config)
+        if keys is None:
+            interned = self._table_ids
+            keys = {
+                switch: interned.setdefault(table.rules, len(interned))
+                for switch, table in config.tables.items()
+            }
+            self._table_keys_of[config] = keys
+        return keys
 
     def _check_no_events(
-        self, trace: NetworkTrace, masks: Optional[Tuple[int, ...]] = None
+        self,
+        trace: NetworkTrace,
+        membership: TraceMembership,
+        masks: Optional[Tuple[int, ...]] = None,
     ) -> Optional[CorrectnessReport]:
         """The first disjunct of Definition 6, or None when events fire."""
         if masks is not None:
@@ -187,8 +207,8 @@ class NESChecker:
         ):
             return None
         initial = self.config_of_event_set(frozenset())
-        for t in sorted(trace.trace_indices):
-            if not packet_trace_in_traces(initial, trace.packet_trace(t)):
+        for t in trace.sorted_indices:
+            if not membership(initial, t):
                 return CorrectnessReport(
                     False,
                     "no event fires but a packet trace is not in Traces(g(∅))",

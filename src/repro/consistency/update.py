@@ -88,6 +88,8 @@ def first_occurrences(
     identical to the default (frozenset) path.
     """
     use_masks = position_masks is not None and event_bits is not None
+    if membership is None:
+        membership = _reference_membership(trace)
     n = len(trace.packets)
     indices: List[int] = []
     previous = -1
@@ -109,13 +111,7 @@ def first_occurrences(
         # The event can be triggered only by a packet processed in the
         # immediately preceding configuration C_step.
         config = update.configurations[step]
-        if membership is not None:
-            if not any(membership(config, trace, t) for t in trace.traces_through(found)):
-                return None
-        elif not any(
-            packet_trace_in_traces(config, trace.packet_trace(t))
-            for t in trace.traces_through(found)
-        ):
+        if not any(membership(config, t) for t in trace.traces_through(found)):
             return None
         indices.append(found)
         previous = found
@@ -144,6 +140,11 @@ def first_occurrences(
     return tuple(indices)
 
 
+def _reference_membership(trace: NetworkTrace) -> Callable:
+    """Unshared membership straight from the definition."""
+    return lambda config, t: packet_trace_in_traces(config, trace.packet_trace(t))
+
+
 @dataclass(frozen=True)
 class CorrectnessReport:
     """Outcome of a Definition 2 check, with the first violation found."""
@@ -160,7 +161,6 @@ def check_update_correctness(
     trace: NetworkTrace,
     update: EventDrivenUpdate,
     *,
-    happens_before: Optional[HappensBefore] = None,
     position_masks: Optional[Sequence[int]] = None,
     event_bits: Optional[Sequence[int]] = None,
     ambient_mask: int = 0,
@@ -168,11 +168,14 @@ def check_update_correctness(
 ) -> CorrectnessReport:
     """Definition 2: is ``trace`` correct with respect to ``update``?
 
-    The keyword arguments are the mask-threaded checker's hoists (see
-    :func:`first_occurrences`); ``happens_before`` may be precomputed
-    once per trace since it does not depend on the update.  All are
-    optional and behaviour-preserving.
+    The keyword arguments are the checker's hoists (see
+    :func:`first_occurrences`); all are optional and
+    behaviour-preserving.  The happens-before relation does not depend
+    on the update, so the trace computes it once
+    (:meth:`NetworkTrace.happens_before`).
     """
+    if membership is None:
+        membership = _reference_membership(trace)
     fo = first_occurrences(
         trace,
         update,
@@ -184,50 +187,83 @@ def check_update_correctness(
     if fo is None:
         return CorrectnessReport(False, "FO(ntr, U) does not exist")
 
-    if happens_before is None:
-        happens_before = trace.happens_before()
+    happens_before = trace.happens_before()
     chain = update.configurations
-
-    for t in sorted(trace.trace_indices):
-        if membership is not None:
-            processed_by = [
-                idx
-                for idx, config in enumerate(chain)
-                if membership(config, trace, t)
-            ]
-        else:
-            packet_trace = trace.packet_trace(t)
-            processed_by = [
-                idx
-                for idx, config in enumerate(chain)
-                if packet_trace_in_traces(config, packet_trace)
-            ]
-        if not processed_by:
-            return CorrectnessReport(
-                False,
-                "packet trace is in Traces(C) for no configuration of the chain",
-                t,
-            )
-        for i, ki in enumerate(fo):
-            if happens_before.all_before(t, ki):
-                # Entirely before event e_i: must use C_0..C_i.
-                if not any(idx <= i for idx in processed_by):
-                    return CorrectnessReport(
-                        False,
-                        f"packet trace precedes event {i} (position {ki}) "
-                        f"but is only in configurations {processed_by}; "
-                        f"expected one of C_0..C_{i} (update happened too early)",
-                        t,
-                    )
-            if happens_before.all_after(ki, t):
-                # Entirely after event e_i: must use C_{i+1}..C_{n+1}.
-                if not any(idx >= i + 1 for idx in processed_by):
-                    return CorrectnessReport(
-                        False,
-                        f"packet trace follows event {i} (position {ki}) "
-                        f"but is only in configurations {processed_by}; "
-                        f"expected one of C_{i + 1}..C_{len(chain) - 1} "
-                        "(update happened too late)",
-                        t,
-                    )
+    for t in trace.sorted_indices:
+        if _meets_clauses(t, fo, chain, membership, happens_before):
+            continue
+        report = _first_violation(t, fo, chain, membership, happens_before)
+        if report is not None:
+            return report
     return CorrectnessReport(True)
+
+
+def _meets_clauses(
+    t: Tuple[int, ...],
+    fo: Tuple[int, ...],
+    chain: Sequence[Configuration],
+    membership: Callable,
+    happens_before: HappensBefore,
+) -> bool:
+    """Does packet trace ``t`` meet Definition 2's clauses, with as few
+    membership tests as the clauses allow?
+
+    ``t`` is ordered by Definition 1(b), so it wholly precedes ``k_i``
+    iff its last position does, and wholly follows ``k_i`` iff its first
+    does.  Preceding every event in ``B`` needs one configuration
+    ``C_idx`` with ``idx <= min B``; following every event in ``A``
+    needs one with ``idx > max A``; and some configuration is needed in
+    any case.
+    """
+    first, last = t[0], t[-1]
+    before = [i for i, ki in enumerate(fo) if happens_before.before(last, ki)]
+    after = [i for i, ki in enumerate(fo) if happens_before.before(ki, first)]
+    ranges = []
+    if before:
+        ranges.append(range(before[0] + 1))
+    if after:
+        ranges.append(range(after[-1] + 1, len(chain)))
+    if not ranges:
+        ranges.append(range(len(chain)))
+    return all(any(membership(chain[idx], t) for idx in r) for r in ranges)
+
+
+def _first_violation(
+    t: Tuple[int, ...],
+    fo: Tuple[int, ...],
+    chain: Sequence[Configuration],
+    membership: Callable,
+    happens_before: HappensBefore,
+) -> Optional[CorrectnessReport]:
+    """The clause-by-clause account of ``t``: its first violation in
+    event order, naming every configuration that processes it."""
+    processed_by = [idx for idx, config in enumerate(chain) if membership(config, t)]
+    if not processed_by:
+        return CorrectnessReport(
+            False,
+            "packet trace is in Traces(C) for no configuration of the chain",
+            t,
+        )
+    for i, ki in enumerate(fo):
+        if happens_before.all_before(t, ki):
+            # Entirely before event e_i: must use C_0..C_i.
+            if not any(idx <= i for idx in processed_by):
+                return CorrectnessReport(
+                    False,
+                    f"packet trace precedes event {i} (position {ki}) "
+                    f"but is only in configurations {processed_by}; "
+                    f"expected one of C_0..C_{i} (update happened too early)",
+                    t,
+                )
+        if happens_before.all_after(ki, t):
+            # Entirely after event e_i: must use C_{i+1}..C_{n+1}.
+            if not any(idx >= i + 1 for idx in processed_by):
+                return CorrectnessReport(
+                    False,
+                    f"packet trace follows event {i} (position {ki}) "
+                    f"but is only in configurations {processed_by}; "
+                    f"expected one of C_{i + 1}..C_{len(chain) - 1} "
+                    "(update happened too late)",
+                    t,
+                )
+    return None

@@ -144,6 +144,14 @@ class Packet:
             return self
         return self.set(SW, location.switch).set(PT, location.port)
 
+    def relocates_to(self, location: Location, other: "Packet") -> bool:
+        """``self.at(location) == other`` without building the copy."""
+        if other._swpt != (location.switch, location.port):
+            return False
+        if self._swpt == other._swpt:
+            return self._fields == other._fields
+        return _off_location(self._fields) == _off_location(other._fields)
+
     def is_at(self, switch: int, port: int) -> bool:
         """Location test without a field scan (the simulator hot path)."""
         swpt = self._swpt
@@ -162,6 +170,10 @@ class Packet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={value}" for name, value in self._fields)
         return f"Packet({inner})"
+
+
+def _off_location(fields: Tuple[Tuple[str, int], ...]) -> list:
+    return [f for f in fields if f[0] != SW and f[0] != PT]
 
 
 @dataclass(frozen=True)

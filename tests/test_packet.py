@@ -84,6 +84,13 @@ class TestPacket:
         pkt = Packet({SW: 1, PT: 1, "x": 9}).at(Location(5, 6))
         assert pkt.location == Location(5, 6) and pkt["x"] == 9
 
+    @given(field_maps, field_maps, st.integers(0, 3), st.integers(0, 3))
+    def test_relocates_to_matches_at(self, fields, other_fields, sw, pt):
+        location = Location(sw, pt)
+        pkt = Packet(fields)
+        for other in (Packet(other_fields), pkt.at(location), pkt.set("x", 5).at(location)):
+            assert pkt.relocates_to(location, other) == (pkt.at(location) == other)
+
     @given(field_maps)
     def test_hash_equals_implies_eq(self, fields):
         assert Packet(fields) == Packet(dict(fields))

@@ -8,6 +8,7 @@ from repro.apps import firewall_app
 from repro.consistency.checker import NESChecker, check_trace_against_nes
 from repro.consistency.traces import NetworkTrace
 from repro.consistency.update import (
+    CorrectnessReport,
     EventDrivenUpdate,
     check_update_correctness,
     first_occurrences,
@@ -104,6 +105,27 @@ class TestDefinition2:
     def test_too_early_violation(self, update):
         report = check_update_correctness(b_delivered_before_event_trace(), update)
         assert not report
+
+    def test_too_early_names_the_first_event_it_precedes(self, checker):
+        """B, delivered before two events, is only in C1 and C2: the
+        violation is at event 0, although C1 would do for event 1."""
+        ci = checker.config_of_event_set(frozenset())
+        cf = checker.config_of_event_set(frozenset({EVENT}))
+        second = EVENT.renamed(1)
+        update = EventDrivenUpdate(
+            (ci, cf, cf), (EVENT, second), frozenset({EVENT, second})
+        )
+        trace = NetworkTrace(
+            tuple(B + A + A), frozenset({(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)})
+        )
+        report = check_update_correctness(trace, update)
+        assert report == CorrectnessReport(
+            False,
+            "packet trace precedes event 0 (position 6) but is only in "
+            "configurations [1, 2]; expected one of C_0..C_0 "
+            "(update happened too early)",
+            (0, 1, 2, 3),
+        )
 
     def test_drop_before_event_correct(self, update):
         assert check_update_correctness(b_dropped_before_event_trace(), update)
