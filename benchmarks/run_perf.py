@@ -30,9 +30,10 @@ the scaling cases from ``bench_scale_events.py`` (deep bandwidth-cap
 chains, wide multi-switch locality) that the bitset engine unlocked.
 
 The ``sim_benches`` section is the streaming events/sec lane: a
-100k-frame ring stream under the default :class:`repro.SimOptions`
-(``sim_events_per_sec_ring``) and under the retained record-identity
-reference path (``sim_events_per_sec_ring_reference``, same scenario,
+100k-frame ring stream through the production ``CorrectLogic`` and
+``inject_stream`` (``sim_events_per_sec_ring``) and through the test
+oracle ``ReferenceLogic`` fed by per-frame ``inject``
+(``sim_events_per_sec_ring_reference``, same scenario and records,
 fewer rounds) -- their ratio is the streaming speedup -- plus a
 bandwidth-cap stream and the Definition 6 checker throughput on a warm
 firewall trace.  The ``trace_check_*_800`` / ``_1600`` lanes check long
@@ -232,21 +233,27 @@ def _bench_trie_heuristic(options: CompileOptions) -> None:
 # between rounds so one round's garbage does not tax the next.
 
 
-def _stream_net(app, sim_options, header, src, count, spacing):
+def _stream_net(app, header, src, count, spacing, reference=False):
+    """A seeded stream scenario; ``reference`` swaps in the test oracle
+    (frozenset ``ReferenceLogic``, one ``inject`` per frame)."""
     from repro.network import CorrectLogic, FrameBatch, SimNetwork
 
-    logic = CorrectLogic(app.compiled, options=sim_options)
-    net = SimNetwork(app.topology, logic, seed=7, options=sim_options)
-    net.inject_stream(
-        src,
-        FrameBatch(
-            header,
-            count,
-            payload_bytes=64,
-            flow=("bulk", src),
-            spacing=spacing,
-        ),
+    batch = FrameBatch(
+        header, count, payload_bytes=64, flow=("bulk", src), spacing=spacing
     )
+    if reference:
+        import sys
+
+        tests_dir = str(Path(__file__).resolve().parent.parent / "tests")
+        if tests_dir not in sys.path:
+            sys.path.insert(0, tests_dir)
+        from oracles import ReferenceLogic, inject_per_frame
+
+        net = SimNetwork(app.topology, ReferenceLogic(app.compiled), seed=7)
+        inject_per_frame(net, src, batch)
+    else:
+        net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
+        net.inject_stream(src, batch)
     return net
 
 
@@ -259,7 +266,7 @@ def _timed_run(net) -> Tuple[int, float]:
 RING_STREAM_FRAMES = 100_000
 
 
-def _sim_ring(sim_options) -> Tuple[int, float]:
+def _sim_ring(reference: bool) -> Tuple[int, float]:
     header = {
         "ip_src": HOSTS["H1"],
         "ip_dst": HOSTS["H2"],
@@ -267,38 +274,30 @@ def _sim_ring(sim_options) -> Tuple[int, float]:
         "ident": 0,
     }
     net = _stream_net(
-        ring_app(2), sim_options, header, "H1", RING_STREAM_FRAMES, 1e-6
+        ring_app(2), header, "H1", RING_STREAM_FRAMES, 1e-6, reference=reference
     )
     return _timed_run(net)
 
 
 def _bench_sim_events_ring() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
-    return _sim_ring(SimOptions())
+    return _sim_ring(reference=False)
 
 
 def _bench_sim_events_ring_reference() -> Tuple[int, float]:
-    # The retained record-identity reference path on the identical
-    # scenario: the recorded ratio against ``sim_events_per_sec_ring``
-    # is the streaming speedup the knobs buy.
-    from repro.sim_options import REFERENCE_SIM_OPTIONS
-
-    return _sim_ring(REFERENCE_SIM_OPTIONS)
+    # The frozenset oracle on the identical scenario (records pinned
+    # equal by tests/test_sim_streaming.py): the recorded ratio against
+    # ``sim_events_per_sec_ring`` is the streaming speedup.
+    return _sim_ring(reference=True)
 
 
 def _bench_sim_events_cap() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
     header = {
         "ip_src": HOSTS["H1"],
         "ip_dst": HOSTS["H4"],
         "kind": 0,
         "ident": 0,
     }
-    net = _stream_net(
-        bandwidth_cap_app(10), SimOptions(), header, "H1", 20_000, 1e-6
-    )
+    net = _stream_net(bandwidth_cap_app(10), header, "H1", 20_000, 1e-6)
     return _timed_run(net)
 
 
@@ -309,8 +308,6 @@ _TRACE_CACHE: Dict[str, object] = {}
 
 
 def _bench_trace_check_throughput() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
     trace = _TRACE_CACHE.get("firewall")
     if trace is None:
         app = firewall_app()
@@ -324,7 +321,7 @@ def _bench_trace_check_throughput() -> Tuple[int, float]:
         _TRACE_CACHE["firewall"] = trace
         _TRACE_CACHE["app"] = app
     app = _TRACE_CACHE["app"]
-    checker = NESChecker(app.nes, app.topology, options=SimOptions())
+    checker = NESChecker(app.nes, app.topology)
     start = time.perf_counter()
     report = checker.check(trace)
     elapsed = time.perf_counter() - start

@@ -33,12 +33,11 @@ def main() -> None:
 
     # -- the staged pipeline: ETS, NES, compiled tables ----------------------
     # Every app owns a Pipeline; compile options (backend, artifact
-    # cache, cache off-switches) are one frozen CompileOptions object on
-    # the app.  See repro.pipeline for the full knob list.  By default
-    # the ETS stage runs the symbolic all-states engine
-    # (CompileOptions(symbolic_extract=True)): one partial-evaluation
-    # pass over every state-component value, instantiated per state --
-    # the report below splits it into ets.symbolic / ets.instantiate.
+    # cache, retries, deadline) are one frozen CompileOptions object on
+    # the app.  See repro.pipeline for the full list.  The ETS stage
+    # runs the symbolic all-states engine: one partial-evaluation pass
+    # over every state-component value, instantiated per state -- the
+    # report below splits it into ets.symbolic / ets.instantiate.
     pipeline = app.pipeline
     print("Event-driven transition system:")
     print(pipeline.ets, "\n")
@@ -130,22 +129,16 @@ def main() -> None:
     # For throughput experiments the discrete-event simulator takes
     # whole packet streams at once: a FrameBatch describes the frames
     # as columns (constant headers are interned to one shared Packet),
-    # and inject_stream schedules them all.  The SimOptions knobs
-    # (interned event masks, batched classification, lazy-heap
-    # scheduling) change *speed only* -- with the knobs off you get the
-    # same DeliveryRecord sequence, slower (see
-    # tests/test_sim_streaming.py for the pinned identity goldens).
+    # and inject_stream schedules them all.  Interned event masks,
+    # per-switch classification memos and lazy-heap scheduling make it
+    # fast without changing a record: tests/test_sim_streaming.py pins
+    # the DeliveryRecord sequences against a frozenset reference logic
+    # fed frame by frame, and against recorded goldens.
     import time
 
-    from repro import SimOptions
     from repro.network import CorrectLogic, FrameBatch, SimNetwork
 
-    stream_net = SimNetwork(
-        app.topology,
-        CorrectLogic(app.compiled, options=SimOptions()),
-        seed=7,
-        options=SimOptions(),
-    )
+    stream_net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
     frames = 20_000
     stream_net.inject_stream(
         "H1",

@@ -6,8 +6,7 @@ Usage (also via ``python -m repro``)::
     python -m repro check     program.snk --topology star --initial 0
     python -m repro compile   program.snk --topology firewall \
                               [--backend serial|thread] [--cache-dir DIR] \
-                              [--strict-cache] [--no-symbolic-extract] \
-                              [--no-knowledge-cache] [--report] [--json] \
+                              [--strict-cache] [--report] [--json] \
                               [--trace OUT.json]
     python -m repro trace summarize OUT.json
 
@@ -165,8 +164,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         backend=args.backend,
         cache_dir=args.cache_dir,
         strict_cache=args.strict_cache,
-        symbolic_extract=not args.no_symbolic_extract,
-        knowledge_cache=not args.no_knowledge_cache,
     )
     pipeline = Pipeline(program, topology, _initial_of(args.initial), options)
     registry = tracer = None
@@ -390,17 +387,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat a cached artifact failing HMAC verification as a "
         "hard error instead of a recorded miss",
-    )
-    compile_cmd.add_argument(
-        "--no-symbolic-extract",
-        action="store_true",
-        help="build the ETS with the per-state extract/project reference "
-        "walks instead of the one-pass symbolic engine",
-    )
-    compile_cmd.add_argument(
-        "--no-knowledge-cache",
-        action="store_true",
-        help="disable the per-builder knowledge-predicate FDD cache",
     )
     compile_cmd.add_argument(
         "--report",

@@ -25,19 +25,18 @@ A check costs about linear time in the trace length:
   clauses need; the full account of which configurations process it is
   computed only to report a violation.
 
-With ``SimOptions(mask_digests=True)`` (the default) the event side of
-the search runs on interned event bitmasks: per-position match masks
-are computed once per trace, candidate sequences are pruned and
-enumerated on ints, and first occurrences and the quiet case test
-single bits.  Candidate sequences are enumerated *lazily* in a fixed
-preorder, so a correct trace early-exits after its first matching
-sequence -- ``sequences_tried`` counts how many Definition 2 checks the
-last :meth:`NESChecker.check` actually ran.  The off-position
-(``SimOptions(mask_digests=False)``) matches events on frozensets; the
-verdicts, reasons and ``sequences_tried`` are identical either way.
-The definitional references -- the frozenset happens-before closure
-and :func:`~repro.consistency.traces.packet_trace_in_traces` per
-(configuration, packet trace) -- are the test suite's oracles.
+The event side of the search runs on interned event bitmasks:
+per-position match masks are computed once per trace, candidate
+sequences are pruned and enumerated on ints, and first occurrences and
+the quiet case test single bits.  Candidate sequences are enumerated
+*lazily* in a fixed preorder, so a correct trace early-exits after its
+first matching sequence -- ``sequences_tried`` counts how many
+Definition 2 checks the last :meth:`NESChecker.check` actually ran.
+The definitional references -- a frozenset event search, the frozenset
+happens-before closure, and
+:func:`~repro.consistency.traces.packet_trace_in_traces` per
+(configuration, packet trace) -- are the test suite's oracles, and
+``tests/golden/checker_verdicts.json`` pins the verdicts.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from ..obs import trace as obs_trace
 from ..netkat.compiler import Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
 from ..netkat.flowtable import Rule
-from ..sim_options import SimOptions
 from ..stateful.ast import StateVector
 from ..topology import Topology
 from .traces import NetworkTrace, TraceMembership, position_event_masks
@@ -68,13 +66,10 @@ class NESChecker:
         nes: NES,
         topology: Topology,
         max_sequence_length: int = 12,
-        options: Optional[SimOptions] = None,
     ):
         self.nes = nes
         self.topology = topology
         self.max_sequence_length = max_sequence_length
-        self.options = options if options is not None else SimOptions()
-        self._mask = self.options.mask_digests
         self._builder = FDDBuilder()
         self._configs: Dict[StateVector, Configuration] = {}
         self._configs_by_mask: Dict[int, Configuration] = {}
@@ -131,11 +126,7 @@ class NESChecker:
 
     def _check_impl(self, trace: NetworkTrace) -> CorrectnessReport:
         self.sequences_tried = 0
-        masks = (
-            position_event_masks(trace, self.nes.structure.universe)
-            if self._mask
-            else None
-        )
+        masks = position_event_masks(trace, self.nes.structure.universe)
         membership = TraceMembership(trace, self.topology, self._table_keys)
         quiet = self._check_no_events(trace, membership, masks)
         if quiet is not None:
@@ -143,10 +134,9 @@ class NESChecker:
 
         ambient_mask = self.nes.structure.all_mask
         reports: List[CorrectnessReport] = []
-        for sequence, bits in self._candidate_sequences(trace, masks):
+        for sequence, bits in self._candidate_sequences(masks):
             self.sequences_tried += 1
             update = self._update_of_sequence(sequence, bits)
-            # Without masks (None) first_occurrences matches on frozensets.
             report = check_update_correctness(
                 trace,
                 update,
@@ -194,17 +184,10 @@ class NESChecker:
         self,
         trace: NetworkTrace,
         membership: TraceMembership,
-        masks: Optional[Tuple[int, ...]] = None,
+        masks: Tuple[int, ...],
     ) -> Optional[CorrectnessReport]:
         """The first disjunct of Definition 6, or None when events fire."""
-        if masks is not None:
-            if any(masks):
-                return None
-        elif any(
-            event.matches(lp)
-            for lp in trace.packets
-            for event in self.nes.events
-        ):
+        if any(masks):
             return None
         initial = self.config_of_event_set(frozenset())
         for t in trace.sorted_indices:
@@ -217,7 +200,7 @@ class NESChecker:
         return CorrectnessReport(True)
 
     def _candidate_sequences(
-        self, trace: NetworkTrace, masks: Optional[Tuple[int, ...]] = None
+        self, masks: Tuple[int, ...]
     ) -> Iterator[Tuple[Tuple[Event, ...], Tuple[int, ...]]]:
         """Lazily enumerate allowed event sequences worth trying.
 
@@ -228,25 +211,18 @@ class NESChecker:
         a correct trace stops the enumeration at its first match.
         """
         structure = self.nes.structure
-        if masks is not None:
-            seen = 0
-            for mask in masks:
-                seen |= mask
-            universe = structure.universe
-            matched = []
-            scan = seen
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                # Ascending bit order == sorted-by-repr order: the
-                # universe is interned sorted by repr.
-                matched.append((universe[low.bit_length() - 1], low))
-        else:
-            matched = [
-                (event, 1 << structure.event_index[event])
-                for event in sorted(self.nes.events, key=repr)
-                if any(event.matches(lp) for lp in trace.packets)
-            ]
+        seen = 0
+        for mask in masks:
+            seen |= mask
+        universe = structure.universe
+        matched = []
+        scan = seen
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            # Ascending bit order == sorted-by-repr order: the universe
+            # is interned sorted by repr.
+            matched.append((universe[low.bit_length() - 1], low))
         max_length = self.max_sequence_length
 
         def extend(
@@ -271,16 +247,10 @@ class NESChecker:
         self, sequence: Tuple[Event, ...], bits: Tuple[int, ...]
     ) -> EventDrivenUpdate:
         configs: List[Configuration] = [self.config_of_event_set(frozenset())]
-        if self._mask:
-            collected_mask = 0
-            for bit in bits:
-                collected_mask |= bit
-                configs.append(self._config_of_mask(collected_mask))
-        else:
-            collected: FrozenSet[Event] = frozenset()
-            for event in sequence:
-                collected = collected | {event}
-                configs.append(self.config_of_event_set(collected))
+        collected_mask = 0
+        for bit in bits:
+            collected_mask |= bit
+            configs.append(self._config_of_mask(collected_mask))
         return EventDrivenUpdate(tuple(configs), tuple(sequence), self._ambient)
 
 
@@ -288,7 +258,6 @@ def check_trace_against_nes(
     trace: NetworkTrace,
     nes: NES,
     topology: Topology,
-    options: Optional[SimOptions] = None,
 ) -> CorrectnessReport:
     """One-shot convenience wrapper around :class:`NESChecker`."""
-    return NESChecker(nes, topology, options=options).check(trace)
+    return NESChecker(nes, topology).check(trace)

@@ -21,8 +21,6 @@ switch steps come from the tables, link steps from the topology.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -392,40 +390,17 @@ def _at_location_interned(location: Location) -> Predicate:
     return a
 
 
-# Per-builder knowledge-FDD caches.  The cache lives in this module
-# (the only place that knows Knowledge's (pos, neg) canonical key) and
-# is keyed weakly so a discarded builder releases its cache with it.
-# The outer mapping is shared across the pipeline's worker threads
-# (each with a private builder), so entry creation takes a lock; the
-# inner per-builder dicts are only ever touched by their builder's
-# owning thread.
-_knowledge_caches: "weakref.WeakKeyDictionary[FDDBuilder, Dict[Tuple, FDD]]" = (
-    weakref.WeakKeyDictionary()
-)
-_knowledge_caches_lock = threading.Lock()
-
-
 def knowledge_fdd(builder: FDDBuilder, knowledge: Knowledge) -> FDD:
     """The predicate FDD of a :class:`Knowledge`, cached per builder.
 
     ``compile_policy`` re-derives the same knowledge predicates for every
     frontier state of every hop (and the runtime compiles every
     configuration against one shared builder), so the FDDs are memoized
-    per builder keyed by the canonical ``(pos, neg)`` tuple.
+    on the builder keyed by the canonical ``(pos, neg)`` tuple.
     """
-    cache = _knowledge_caches.get(builder)
-    if cache is None:
-        with _knowledge_caches_lock:
-            cache = _knowledge_caches.get(builder)
-            if cache is None:
-                cache = {}
-                _knowledge_caches[builder] = cache
-    key = (knowledge.pos, knowledge.neg)
-    d = cache.get(key)
-    if d is None:
-        d = builder.of_predicate(knowledge.predicate())
-        cache[key] = d
-    return d
+    return builder.of_keyed_predicate(
+        (knowledge.pos, knowledge.neg), knowledge.predicate
+    )
 
 
 def compile_policy(
@@ -435,14 +410,11 @@ def compile_policy(
     name: str = "",
     guard: Optional[Predicate] = None,
     max_frontier: int = 4096,
-    knowledge_cache: bool = True,
 ) -> Configuration:
     """Compile a configuration policy to per-switch flow tables.
 
     ``guard`` is an extra predicate conjoined at the start of every path
     (the runtime uses it to guard rules by configuration tag, section 4).
-    ``knowledge_cache=False`` recompiles every knowledge predicate from
-    the AST (the pre-cache behavior, kept for differential tests).
     """
     builder = builder or FDDBuilder()
     per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in topology.switches}
@@ -464,19 +436,7 @@ def compile_policy(
                 hop_fdd = builder.seq(hop_fdd, reach_link)
             next_frontier: Set[Knowledge] = set()
             for knowledge in frontier:
-                if knowledge_cache:
-                    k_fdd = knowledge_fdd(builder, knowledge)
-                else:
-                    # Reference path: recompile the predicate from a fresh
-                    # AST each time, bypassing the id-keyed memo so the
-                    # throwaway tree is not pinned in the builder.
-                    saved_ast_memo = builder.ast_memo
-                    builder.ast_memo = False
-                    try:
-                        k_fdd = builder.of_predicate(knowledge.predicate())
-                    finally:
-                        builder.ast_memo = saved_ast_memo
-                d = builder.seq(k_fdd, hop_fdd)
+                d = builder.seq(knowledge_fdd(builder, knowledge), hop_fdd)
                 if d is builder.drop:
                     continue
                 switch_fdds, residual = _sw_decomposition(builder, d)

@@ -25,7 +25,6 @@ star).  Links are handled one level up, by the path compiler in
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .ast import (
@@ -160,11 +159,6 @@ class FieldOrder:
         return 0
 
 
-# Sentinel marking the deprecated FDDBuilder keyword arguments; the
-# supported spelling is CompileOptions(...).make_builder().
-_DEPRECATED_KWARG = object()
-
-
 class FDDBuilder:
     """Factory and algebra for FDDs.
 
@@ -174,25 +168,8 @@ class FDDBuilder:
     thread a private builder.
     """
 
-    def __init__(
-        self,
-        order: Optional[FieldOrder] = None,
-        ordered_insert=_DEPRECATED_KWARG,
-        ast_memo=_DEPRECATED_KWARG,
-    ):
-        if ordered_insert is not _DEPRECATED_KWARG or ast_memo is not _DEPRECATED_KWARG:
-            warnings.warn(
-                "FDDBuilder(ordered_insert=..., ast_memo=...) is deprecated; "
-                "use repro.pipeline.CompileOptions(ordered_insert=..., "
-                "ast_memo=...).make_builder() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, order: Optional[FieldOrder] = None):
         self.order = order or FieldOrder()
-        self.ordered_insert = (
-            True if ordered_insert is _DEPRECATED_KWARG else ordered_insert
-        )
-        self.ast_memo = True if ast_memo is _DEPRECATED_KWARG else ast_memo
         self._leaf_cache: Dict[ActionSet, Leaf] = {}
         self._branch_cache: Dict[Tuple[str, int, int, int], Branch] = {}
         self._next_id = 0
@@ -211,22 +188,11 @@ class FDDBuilder:
         # many unrelated programs can call clear_ast_memos() between them.
         self._memo_of_policy: Dict[int, Tuple[object, FDD]] = {}
         self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
+        # Predicate FDDs keyed by a caller-chosen canonical form (see
+        # of_keyed_predicate).
+        self._memo_keyed: Dict[object, FDD] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
-
-    @classmethod
-    def from_options(cls, options) -> "FDDBuilder":
-        """A builder configured by a ``CompileOptions``-like object
-        (anything with ``field_order``, ``ordered_insert``, ``ast_memo``).
-
-        This is the supported way to get a non-default builder; the
-        ``ordered_insert=``/``ast_memo=`` constructor keywords are
-        deprecated.
-        """
-        builder = cls(order=FieldOrder(options.field_order))
-        builder.ordered_insert = options.ordered_insert
-        builder.ast_memo = options.ast_memo
-        return builder
 
     # -- node constructors ---------------------------------------------------
 
@@ -369,31 +335,17 @@ class FDDBuilder:
             else:
                 hi = self.seq_mod(mod, d.hi)
                 lo = self.seq_mod(mod, d.lo)
-                result = self._ite_test(d.field, d.value, hi, lo)
+                result = self.ite_test(d.field, d.value, hi, lo)
         self._memo_seq_mod[key] = result
         return result
 
-    def _ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
+    def ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
         """Build "if field==value then hi else lo" re-establishing ordering.
 
         ``hi``/``lo`` may contain tests ordering before (field, value), so
-        a plain branch() would violate the path-ordering invariant.  The
-        default strategy splices the test in with one ordered-insert walk;
-        ``ordered_insert=False`` keeps the original mask/union route (two
-        guard FDDs plus two applies plus a union) as a reference
-        implementation for differential tests.
-        """
-        if hi is lo:
-            return hi
-        if self.ordered_insert:
-            return self.ite_test(field, value, hi, lo)
-        guard = self.branch(field, value, self.id, self.drop)
-        n_guard = self.branch(field, value, self.drop, self.id)
-        return self.union(self.mask(guard, hi), self.mask(n_guard, lo))
-
-    def ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
-        """Ordered insert: one simultaneous walk of ``hi``/``lo`` that sinks
-        the test ``field == value`` to its ordered position.
+        a plain branch() would violate the path-ordering invariant.  One
+        simultaneous walk of ``hi``/``lo`` (the ordered insert) sinks the
+        test ``field == value`` to its ordered position.
 
         Tests on ``field`` itself never interleave with tests on other
         fields (the order key is lexicographic on (rank, name, value)), so
@@ -473,7 +425,7 @@ class FDDBuilder:
         else:
             hi = self.seq(d1.hi, d2)
             lo = self.seq(d1.lo, d2)
-            result = self._ite_test(d1.field, d1.value, hi, lo)
+            result = self.ite_test(d1.field, d1.value, hi, lo)
         self._memo_seq[key] = result
         return result
 
@@ -542,10 +494,9 @@ class FDDBuilder:
 
     def of_predicate(self, a: Predicate) -> FDD:
         """Compile a predicate to a 0/1-valued FDD."""
-        if self.ast_memo:
-            cached = self._memo_of_predicate.get(id(a))
-            if cached is not None:
-                return cached[1]
+        cached = self._memo_of_predicate.get(id(a))
+        if cached is not None:
+            return cached[1]
         if isinstance(a, PTrue):
             result = self.id
         elif isinstance(a, PFalse):
@@ -565,9 +516,20 @@ class FDDBuilder:
             result = self.negate(self.seq(self.negate(left), self.negate(right)))
         else:
             raise TypeError(f"not a predicate: {a!r}")
-        if self.ast_memo:
-            self._memo_of_predicate[id(a)] = (a, result)
+        self._memo_of_predicate[id(a)] = (a, result)
         return result
+
+    def of_keyed_predicate(self, key: object, make: Callable[[], Predicate]) -> FDD:
+        """``of_predicate(make())``, memoized on a canonical ``key``.
+
+        For predicates the caller rebuilds as fresh ASTs (so the id-keyed
+        memo cannot hit) but can name canonically: the path compiler keys
+        its knowledge predicates on their ``(pos, neg)`` literal sets.
+        """
+        d = self._memo_keyed.get(key)
+        if d is None:
+            d = self._memo_keyed[key] = self.of_predicate(make())
+        return d
 
     def of_policy(self, p: Policy) -> FDD:
         """Compile a link-free policy to an FDD.
@@ -576,10 +538,9 @@ class FDDBuilder:
         with no flow-table meaning, and links are split out by the path
         compiler before FDDs are built.
         """
-        if self.ast_memo:
-            cached = self._memo_of_policy.get(id(p))
-            if cached is not None:
-                return cached[1]
+        cached = self._memo_of_policy.get(id(p))
+        if cached is not None:
+            return cached[1]
         if isinstance(p, Filter):
             result = self.of_predicate(p.predicate)
         elif isinstance(p, Assign):
@@ -599,8 +560,7 @@ class FDDBuilder:
             )
         else:
             raise TypeError(f"not a policy: {p!r}")
-        if self.ast_memo:
-            self._memo_of_policy[id(p)] = (p, result)
+        self._memo_of_policy[id(p)] = (p, result)
         return result
 
     # -- evaluation and extraction ---------------------------------------------

@@ -7,7 +7,6 @@ from .simulator import (
     FrameBatch,
     LinkParams,
     SimNetwork,
-    SimOptions,
     Simulator,
 )
 from .stats import (
@@ -32,7 +31,6 @@ from .traffic import (
 __all__ = [
     "Simulator",
     "SimNetwork",
-    "SimOptions",
     "Frame",
     "FrameBatch",
     "LinkParams",

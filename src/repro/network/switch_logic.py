@@ -7,16 +7,16 @@ digest gossip, optional controller assistance (CTRLSEND broadcasts after
 a configurable controller latency), and measurable header overhead for
 the tag and digest fields (Figure 16a's ~6% bandwidth cost).
 
-With ``SimOptions(mask_digests=True)`` (the default) the whole SWITCH
-rule runs on interned event bitmasks: registers are ints, frames carry
-``tag_mask``/``digest_mask`` ints, and detection uses
+The whole SWITCH rule runs on interned event bitmasks: registers are
+ints, frames carry ``tag_mask``/``digest_mask`` ints, and detection uses
 ``enables_mask``/``con_mask`` -- no per-packet ``frozenset``.  The
-``registers`` attribute stays a mapping of set-like views backed by the
-masks, so code (and tests) that mutate ``logic.registers[sw]`` keeps
-working on either path.  With ``SimOptions(batch=True)`` a per-switch
-classification memo maps (tag, interned header) to the forwarding
-outputs so identical-header packets skip table re-evaluation.  Both
-knobs are behaviour-identical to the retained frozenset reference path.
+``registers`` attribute is a mapping of set-like views backed by the
+masks, so code (and tests) that mutate ``logic.registers[sw]`` stay in
+step with the hot path.  A per-switch classification memo maps (tag,
+interned header) to the forwarding outputs so identical-header packets
+skip table re-evaluation.  The frozenset rule this replaced is the test
+suite's ``oracles.ReferenceLogic``; both reproduce the records pinned in
+``tests/golden/sim_records.json``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import math
 from collections.abc import MutableSet
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..events.event import Event, EventSet
-from ..netkat.packet import Location, Packet, PT, SW
+from ..events.event import Event
+from ..netkat.packet import Location, Packet, PT
 from ..runtime.compiler import CompiledNES
-from ..sim_options import SimOptions
 from .simulator import Frame, SimNetwork, SwitchLogic, _MEMO_LIMIT, _UNSET
 
 __all__ = ["CorrectLogic", "BASE_HEADER_BYTES"]
@@ -112,7 +111,6 @@ class CorrectLogic:
         controller_latency: float = 0.05,
         event_notify_latency: float = 0.01,
         extra_processing_delay: float = 6e-6,
-        options: Optional[SimOptions] = None,
     ):
         self.compiled = compiled
         self.controller_assist = controller_assist
@@ -122,41 +120,30 @@ class CorrectLogic:
         # plain forwarding (the Figure 16a overhead knob; ~6 microseconds
         # approximates the paper's modified OpenFlow reference switch).
         self.extra_processing_delay = extra_processing_delay
-        self.options = options if options is not None else SimOptions()
         structure = compiled.nes.structure
         self._structure = structure
         self._universe = structure.universe
-        self._mask = self.options.mask_digests
-        self._memo = self.options.batch
         switches = compiled.topology.switches
         # last_plan/plan_generations/header_overhead/ingress_frame are
         # the simulator's plan-cache protocol (see simulator._Plan).
         self.last_plan: Optional[Tuple] = None
-        if self._mask:
-            self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
-            self._register_masks: Optional[Dict[int, int]] = {n: 0 for n in switches}
-            self.registers: Dict[int, Set[Event]] = {
-                n: _MaskRegister(
-                    self._register_masks, n, structure, self.plan_generations
-                )
-                for n in switches
-            }
-            self.ingress_frame = self._ingress_frame_masked
-        else:
-            self._register_masks = None
-            self.registers = {n: set() for n in switches}
+        self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
+        self._register_masks: Dict[int, int] = {n: 0 for n in switches}
+        self.registers: Dict[int, Set[Event]] = {
+            n: _MaskRegister(self._register_masks, n, structure, self.plan_generations)
+            for n in switches
+        }
         # Events already reported to net.note_event_learned per switch
-        # (the reference path re-notes idempotently on every packet; the
-        # mask path decodes only never-before-noted bits).
+        # (only never-before-noted bits are decoded and reported).
         self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
-        # Normalized packet -> bitmask of events matching it (mask path).
+        # Normalized packet -> bitmask of events matching it.
         self._match_memo: Dict[Packet, int] = {}
-        # tag -> normalized packet -> ((port, out_packet), ...) -- the
-        # per-switch classification memo of the batch knob, nested so a
-        # hit costs two cheap lookups instead of a tuple alloc + hash.
-        self._forward_memo: Dict[object, Dict[Packet, Tuple[Tuple[int, Packet], ...]]] = {}
-        # Tag (mask or frozenset) -> Configuration.
-        self._config_memo: Dict[object, object] = {}
+        # tag mask -> normalized packet -> ((port, out_packet), ...) --
+        # the per-switch classification memo, nested so a hit costs two
+        # cheap lookups instead of a tuple alloc + hash.
+        self._forward_memo: Dict[int, Dict[Packet, Tuple[Tuple[int, Packet], ...]]] = {}
+        # Tag mask -> Configuration.
+        self._config_memo: Dict[int, object] = {}
         self.controller_view: Set[Event] = set()
         # Tag (one config id) + digest (one bit per event), rounded up to
         # whole bytes -- the "single unused header field" of section 4.1.
@@ -175,29 +162,18 @@ class CorrectLogic:
 
     def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
         """The IN rule: stamp the tag of the local event-set."""
-        if self._mask:
-            return Frame(
-                packet=frame.packet.at(location),
-                payload_bytes=frame.payload_bytes,
-                flow=frame.flow,
-                ident=frame.ident,
-                injected_at=frame.injected_at,
-                tag_mask=self._register_masks[location.switch],
-                digest_mask=0,
-                structure=self._structure,
-            )
-        local = frozenset(self.registers[location.switch])
         return Frame(
             packet=frame.packet.at(location),
             payload_bytes=frame.payload_bytes,
-            tag=local,
-            digest=frozenset(),
             flow=frame.flow,
             ident=frame.ident,
             injected_at=frame.injected_at,
+            tag_mask=self._register_masks[location.switch],
+            digest_mask=0,
+            structure=self._structure,
         )
 
-    def _ingress_frame_masked(
+    def ingress_frame(
         self,
         location: Location,
         packet: Packet,
@@ -207,8 +183,8 @@ class CorrectLogic:
         now: float,
     ) -> Frame:
         """The IN rule without the intermediate unstamped Frame: exactly
-        ``on_ingress(net, location, Frame(packet, ...))`` on the mask
-        path (the batched-stream ingress hot path)."""
+        ``on_ingress(net, location, Frame(packet, ...))`` (the
+        batched-stream ingress hot path)."""
         swpt = packet._swpt
         if swpt[0] != location.switch or swpt[1] != location.port:
             packet = packet.at(location)
@@ -228,78 +204,8 @@ class CorrectLogic:
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
     ) -> List[Tuple[int, Frame]]:
-        """The SWITCH rule: learn, detect, forward by the packet's tag."""
-        if self._mask:
-            return self._process_masked(net, location, frame)
-        switch_id = location.switch
-        register = self.registers[switch_id]
-        combined = frozenset(register) | frame.digest
-
-        structure = self.compiled.nes.structure
-        detected: List[Event] = []
-        for event in sorted(self.compiled.nes.events, key=repr):
-            if event in combined:
-                continue
-            if not event.matches_packet(frame.packet, location):
-                continue
-            if not structure.enables(combined, event):
-                continue
-            if not structure.con(combined | frozenset(detected) | {event}):
-                continue
-            detected.append(event)
-
-        new_known = combined | frozenset(detected)
-        if new_known != frozenset(register):
-            register.clear()
-            register.update(new_known)
-        for event in new_known:
-            net.note_event_learned(switch_id, event)
-        for event in detected:
-            self._notify_controller(net, event)
-
-        tag = frame.tag if frame.tag is not None else frozenset()
-        applied = frame.packet.at(location)
-        by_packet = None
-        outputs = None
-        if self._memo:
-            by_packet = self._forward_memo.get(tag)
-            if by_packet is None:
-                by_packet = self._forward_memo[tag] = {}
-            outputs = by_packet.get(applied)
-        if outputs is None:
-            config = self.compiled.config_for_event_set(tag)
-            outputs = tuple(
-                (out_packet[PT], out_packet)
-                for out_packet in sorted(
-                    config.table(switch_id).apply(applied), key=repr
-                )
-            )
-            if by_packet is not None:
-                if len(by_packet) >= _MEMO_LIMIT:
-                    by_packet.clear()
-                by_packet[applied] = outputs
-        results: List[Tuple[int, Frame]] = []
-        for port, out_packet in outputs:
-            results.append(
-                (
-                    port,
-                    Frame(
-                        packet=out_packet,
-                        payload_bytes=frame.payload_bytes,
-                        tag=tag,
-                        digest=new_known,
-                        flow=frame.flow,
-                        ident=frame.ident,
-                        injected_at=frame.injected_at,
-                    ),
-                )
-            )
-        return results
-
-    def _process_masked(
-        self, net: SimNetwork, location: Location, frame: Frame
-    ) -> List[Tuple[int, Frame]]:
-        """The SWITCH rule on interned bitmasks (no per-packet frozensets)."""
+        """The SWITCH rule: learn, detect, forward by the packet's tag --
+        on interned bitmasks, with no per-packet frozensets."""
         switch_id = location.switch
         structure = self._structure
         packet = frame.packet
@@ -330,7 +236,7 @@ class CorrectLogic:
             match_memo[packet] = match_mask
 
         # Detection in bit order == sorted-by-repr order (the universe is
-        # interned sorted by repr), exactly as the reference loop.
+        # interned sorted by repr), as Figure 7's rule is written.
         detected_mask = 0
         free = match_mask & ~combined
         if free:
@@ -369,13 +275,10 @@ class CorrectLogic:
 
         if tag_mask is None:
             tag_mask = 0
-        by_packet = None
-        outputs = None
-        if self._memo:
-            by_packet = self._forward_memo.get(tag_mask)
-            if by_packet is None:
-                by_packet = self._forward_memo[tag_mask] = {}
-            outputs = by_packet.get(packet)
+        by_packet = self._forward_memo.get(tag_mask)
+        if by_packet is None:
+            by_packet = self._forward_memo[tag_mask] = {}
+        outputs = by_packet.get(packet)
         if outputs is None:
             config = self._config_memo.get(tag_mask)
             if config is None:
@@ -387,10 +290,9 @@ class CorrectLogic:
                     config.table(switch_id).apply(packet), key=repr
                 )
             )
-            if by_packet is not None:
-                if len(by_packet) >= _MEMO_LIMIT:
-                    by_packet.clear()
-                by_packet[packet] = outputs
+            if len(by_packet) >= _MEMO_LIMIT:
+                by_packet.clear()
+            by_packet[packet] = outputs
         # Side-effect-free run: offer the outcome to the simulator's
         # emission-plan cache (valid until this switch's generation
         # bumps on any register/noted mutation).

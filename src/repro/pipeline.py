@@ -2,7 +2,7 @@
 
 The paper's toolchain (Figure 7) is a fixed sequence of stages; this
 module is its single front door.  :class:`CompileOptions` consolidates
-every compiler/FDD/cache knob in one validated, frozen place, and
+every compiler/cache setting in one validated, frozen place, and
 :class:`Pipeline` exposes the staged artifacts (:attr:`Pipeline.ets`,
 :attr:`Pipeline.nes`, :attr:`Pipeline.compiled`) lazily, with per-stage
 wall-clock timings and stats available via :meth:`Pipeline.report`.
@@ -26,9 +26,10 @@ deliberately excluded from the cache key: they cannot change the
 artifact bytes (the golden tests in ``tests/test_pipeline.py`` pin
 this), so serial and threaded runs share cache entries.
 
-The rule for future knobs: any new compiler/cache switch lands as a
-:class:`CompileOptions` field (not a loose keyword argument), and ships
-with a byte-identity golden test for its off position.
+The rule for future knobs: any new execution or output setting lands
+as a :class:`CompileOptions` field (not a loose keyword argument).  A
+faster algorithm is not a knob: it replaces the production path, and
+the path it replaces lives on as a test oracle (``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
-from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder
+from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder, FieldOrder
 from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
-from .stateful.events import extract
-from .stateful.projection import project
 from .stateful.symbolic import (
     StateGuard,
     SymbolicProgram,
@@ -88,8 +87,9 @@ BACKENDS: Tuple[str, ...] = ("serial", "thread")
 
 # Bump when the pickled artifact layout changes incompatibly; old cache
 # entries then miss instead of unpickling garbage.  Format 2 added the
-# optional HMAC-SHA256 signing envelope (see ArtifactCache).
-ARTIFACT_FORMAT = 2
+# optional HMAC-SHA256 signing envelope (see ArtifactCache); format 3
+# dropped the fast-vs-reference knobs from the options fingerprint.
+ARTIFACT_FORMAT = 3
 
 # Options that select *how* the pipeline executes, never *what* it
 # produces; they are excluded from the artifact cache key.  The
@@ -144,11 +144,11 @@ class ArtifactCacheWarning(UserWarning):
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Every compiler/FDD/cache knob, in one validated place.
+    """Every compiler/cache setting, in one validated place.
 
-    Output-affecting knobs (everything except the execution trio
-    ``backend`` / ``max_workers`` / ``cache_dir``) participate in the
-    artifact cache key and must keep their byte-identity golden tests
+    Output-affecting settings (everything except the execution-only
+    fields: ``backend``, ``max_workers``, ``cache_dir`` and the
+    fault-tolerance settings) participate in the artifact cache key
     (see module docstring).
 
     - ``backend``: ``"serial"`` compiles configurations one by one on a
@@ -174,19 +174,6 @@ class CompileOptions:
     - ``deadline_seconds``: wall-clock budget for the compile stage,
       checked between per-configuration compiles (cooperative — one
       configuration is never preempted); exceeded → :class:`StageError`.
-    - ``symbolic_extract``: build the ETS from one symbolic
-      partial-evaluation pass over all state-component values
-      (:class:`~repro.stateful.symbolic.SymbolicProgram`) instead of one
-      ``extract``/``project`` walk per state; ``False`` selects the
-      retained per-state reference walks.  Output-affecting by
-      convention (it participates in the artifact cache key), though
-      both paths are byte-identical by construction.
-    - ``knowledge_cache``: the per-builder knowledge-predicate FDD cache
-      from the second perf wave; ``False`` recompiles each knowledge
-      predicate from a fresh AST (reference path).
-    - ``ordered_insert``: the ordered-insert ITE strategy in the FDD
-      algebra; ``False`` selects the retained mask/union reference path.
-    - ``ast_memo``: the id-keyed ``of_policy``/``of_predicate`` memos.
     - ``field_order``: FDD branch-ordering precedence (``sw``/``pt``
       first keeps per-switch extraction cheap).
     - ``enforce_locality``: refuse NESs that are not locally determined
@@ -202,10 +189,6 @@ class CompileOptions:
     strict_cache: bool = False
     compile_retries: int = 2
     deadline_seconds: Optional[float] = None
-    symbolic_extract: bool = True
-    knowledge_cache: bool = True
-    ordered_insert: bool = True
-    ast_memo: bool = True
     field_order: Tuple[str, ...] = DEFAULT_FIELD_ORDER
     enforce_locality: bool = True
     tag_field: str = TAG_FIELD
@@ -242,7 +225,7 @@ class CompileOptions:
 
     def make_builder(self) -> FDDBuilder:
         """A fresh :class:`FDDBuilder` configured by these options."""
-        return FDDBuilder.from_options(self)
+        return FDDBuilder(FieldOrder(self.field_order))
 
     def semantic_fingerprint(self) -> str:
         """Canonical serialization of the output-affecting options."""
@@ -679,7 +662,7 @@ class PipelineReport:
     stats: Tuple[Tuple[str, int], ...]
     backend: str
     artifact_cache: Optional[str]
-    # Sub-stage split of the ets stage under symbolic_extract:
+    # Sub-stage split of the ets stage:
     # "ets.symbolic" (the one partial-evaluation pass) and
     # "ets.instantiate" (per-state BFS instantiation).  These refine
     # the "ets" entry of stage_seconds; total_seconds() ignores them.
@@ -833,34 +816,26 @@ class Pipeline:
                     self._stage_boundary("ets")
                     with obs_trace.span("ets") as stage_span:
                         start = time.perf_counter()
-                        if self.options.symbolic_extract:
-                            # The symbolic path splits into the one-shot
-                            # partial evaluation and the per-state BFS
-                            # instantiation; the report carries both (the
-                            # "ets.*" substages) alongside the stage total.
-                            # The engine is retained: update() diffs it
-                            # against the post-delta program's to localize
-                            # a delta's blast radius.
-                            with obs_trace.span("ets.symbolic"):
-                                symbolic = SymbolicProgram(self.program)
-                            mid = time.perf_counter()
-                            with obs_trace.span("ets.instantiate"):
-                                ets = build_ets(
-                                    self.program,
-                                    self.initial_state,
-                                    symbolic=symbolic,
-                                )
-                            end = time.perf_counter()
-                            self._substage_seconds["ets.symbolic"] = mid - start
-                            self._substage_seconds["ets.instantiate"] = end - mid
-                            self._symbolic = symbolic
-                        else:
+                        # The stage splits into the one-shot partial
+                        # evaluation and the per-state BFS instantiation;
+                        # the report carries both (the "ets.*" substages)
+                        # alongside the stage total.  The engine is
+                        # retained: update() diffs it against the
+                        # post-delta program's to localize a delta's
+                        # blast radius.
+                        with obs_trace.span("ets.symbolic"):
+                            symbolic = SymbolicProgram(self.program)
+                        mid = time.perf_counter()
+                        with obs_trace.span("ets.instantiate"):
                             ets = build_ets(
                                 self.program,
                                 self.initial_state,
-                                symbolic_extract=False,
+                                symbolic=symbolic,
                             )
-                            end = time.perf_counter()
+                        end = time.perf_counter()
+                        self._substage_seconds["ets.symbolic"] = mid - start
+                        self._substage_seconds["ets.instantiate"] = end - mid
+                        self._symbolic = symbolic
                         stage_span.set(states=len(ets.states()))
                     self._stage_seconds["ets"] = end - start
                     self._observe_stage("ets", end - start)
@@ -1075,47 +1050,38 @@ class Pipeline:
         edge_guards: Optional[FrozenSet[StateGuard]] = None
         cell_guards: Optional[FrozenSet[StateGuard]] = None
         sym_seconds = 0.0
-        if self.options.symbolic_extract:
-            if not program_changed:
-                symbolic = old_symbolic  # may be None (warm source)
-                edge_guards = cell_guards = frozenset()
-            else:
-                t_sym = time.perf_counter()
-                symbolic = SymbolicProgram(new_program)
-                sym_seconds = time.perf_counter() - t_sym
-                if old_symbolic is not None:
-                    edge_guards = changed_edge_guards(
-                        old_symbolic.extraction, symbolic.extraction
-                    )
-                    cell_guards = changed_cell_guards(
-                        old_symbolic.cells, symbolic.cells
-                    )
-        elif not program_changed:
-            # Reference path (per-state walks): nothing to diff, but an
-            # unchanged program reuses every previous state verbatim.
+        if not program_changed:
+            symbolic = old_symbolic  # may be None (warm source)
             edge_guards = cell_guards = frozenset()
+        else:
+            t_sym = time.perf_counter()
+            symbolic = SymbolicProgram(new_program)
+            sym_seconds = time.perf_counter() - t_sym
+            if old_symbolic is not None:
+                edge_guards = changed_edge_guards(
+                    old_symbolic.extraction, symbolic.extraction
+                )
+                cell_guards = changed_cell_guards(
+                    old_symbolic.cells, symbolic.cells
+                )
         updated._substage_seconds["update.delta"] = (
             time.perf_counter() - t_delta - sym_seconds
         )
 
-        # Fresh per-state fallbacks for affected/new states.  Under
-        # symbolic_extract the engine is built lazily: a fully-reused
-        # instantiation (the common no-op / state-only delta) never pays
-        # for a partial evaluation it does not use.
-        if self.options.symbolic_extract:
-            def _ensure_symbolic() -> SymbolicProgram:
-                nonlocal symbolic, sym_seconds
-                if symbolic is None:
-                    t0 = time.perf_counter()
-                    symbolic = SymbolicProgram(new_program)
-                    sym_seconds += time.perf_counter() - t0
-                return symbolic
+        # Fresh per-state fallbacks for affected/new states.  The engine
+        # is built lazily: a fully-reused instantiation (the common
+        # no-op / state-only delta) never pays for a partial evaluation
+        # it does not use.
+        def _ensure_symbolic() -> SymbolicProgram:
+            nonlocal symbolic, sym_seconds
+            if symbolic is None:
+                t0 = time.perf_counter()
+                symbolic = SymbolicProgram(new_program)
+                sym_seconds += time.perf_counter() - t0
+            return symbolic
 
-            fresh_edges = lambda s: _ensure_symbolic().edges_at(s)  # noqa: E731
-            fresh_config = lambda s: _ensure_symbolic().configuration_at(s)  # noqa: E731
-        else:
-            fresh_edges = lambda s: extract(new_program, s).edges  # noqa: E731
-            fresh_config = lambda s: project(new_program, s)  # noqa: E731
+        fresh_edges = lambda s: _ensure_symbolic().edges_at(s)  # noqa: E731
+        fresh_config = lambda s: _ensure_symbolic().configuration_at(s)  # noqa: E731
 
         # Stage 1: the patched ETS.
         self._stage_boundary("ets")
@@ -1136,11 +1102,8 @@ class Pipeline:
         updated._symbolic = symbolic
         updated._stage_seconds["ets"] = ets_seconds + eager_sym_seconds
         self._observe_stage("ets", ets_seconds + eager_sym_seconds)
-        if self.options.symbolic_extract:
-            updated._substage_seconds["ets.symbolic"] = sym_seconds
-            updated._substage_seconds["ets.instantiate"] = (
-                ets_seconds - lazy_sym_seconds
-            )
+        updated._substage_seconds["ets.symbolic"] = sym_seconds
+        updated._substage_seconds["ets.instantiate"] = ets_seconds - lazy_sym_seconds
 
         # Stage 2: NES conversion, only if the ETS changed at all.  The
         # NES carries the configuration policies too, so a changed

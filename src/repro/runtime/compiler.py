@@ -42,11 +42,6 @@ __all__ = ["TAG_FIELD", "CompiledNES", "LocalityError", "compile_nes"]
 # (guarded) tables; a single unused header field, as section 4.1 argues.
 TAG_FIELD = "tag"
 
-# Sentinel distinguishing "caller passed knowledge_cache explicitly"
-# (deprecated, folded into CompileOptions) from the default.
-_UNSET = object()
-
-
 def _default_options():
     # Imported lazily: repro.pipeline imports this module at load time.
     from ..pipeline import CompileOptions
@@ -168,7 +163,6 @@ def _compile_configurations(
                         topology,
                         builder=b,
                         name=f"C{list(state)}",
-                        knowledge_cache=options.knowledge_cache,
                         max_frontier=options.max_frontier,
                     )
             except PipelineError:
@@ -242,7 +236,6 @@ class CompiledNES:
         nes: NES,
         topology: Topology,
         builder: Optional[FDDBuilder] = None,
-        knowledge_cache=_UNSET,
         options=None,
         health: Optional[Dict[str, int]] = None,
         reuse_configurations: Optional[
@@ -256,14 +249,9 @@ class CompiledNES:
         the independent per-configuration compiles are sharded across a
         thread pool; passing an explicit ``builder`` forces the serial
         path, because a caller-owned builder cannot be shared across
-        worker threads.  ETS-stage knobs carried by the options (such as
-        ``symbolic_extract``) do not affect this stage -- the NES is
-        already built -- but they ride along so ``compiled.options``
+        worker threads.  The options ride along so ``compiled.options``
         records the full configuration the artifact was produced under
         (and the artifact cache keys on them).
-
-        ``knowledge_cache=`` is deprecated; use
-        ``CompileOptions(knowledge_cache=...)``.
 
         ``health`` is an optional counter dict (the pipeline passes its
         own) that the executor's retry/degradation bookkeeping
@@ -278,18 +266,8 @@ class CompiledNES:
         function of those, so adopted entries are byte-identical to a
         fresh compile.
         """
-        if knowledge_cache is not _UNSET:
-            warnings.warn(
-                "CompiledNES(knowledge_cache=...) is deprecated; pass "
-                "repro.pipeline.CompileOptions(knowledge_cache=...) as "
-                "options= instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if options is None:
             options = _default_options()
-        if knowledge_cache is not _UNSET:
-            options = options.replace(knowledge_cache=knowledge_cache)
         self.options = options
         self.nes = nes
         self.topology = topology
@@ -463,8 +441,7 @@ def compile_nes(
     nes: NES,
     topology: Topology,
     builder: Optional[FDDBuilder] = None,
-    enforce_locality=_UNSET,
-    knowledge_cache=_UNSET,
+    enforce_locality: Optional[bool] = None,
     options=None,
     health: Optional[Dict[str, int]] = None,
     reuse_configurations: Optional[Mapping[StateVector, Configuration]] = None,
@@ -475,22 +452,12 @@ def compile_nes(
     buffer (Lemma 1), which this runtime does not do -- so by default
     compilation refuses them.  ``options`` is a
     :class:`repro.pipeline.CompileOptions`; ``enforce_locality=`` as a
-    direct keyword still works, and ``knowledge_cache=`` is deprecated
-    in favor of the options object.  ``reuse_configurations`` is the
+    direct keyword overrides its field.  ``reuse_configurations`` is the
     incremental-recompilation seam of :class:`CompiledNES`.
     """
     if options is None:
         options = _default_options()
-    if knowledge_cache is not _UNSET:
-        warnings.warn(
-            "compile_nes(knowledge_cache=...) is deprecated; pass "
-            "repro.pipeline.CompileOptions(knowledge_cache=...) as "
-            "options= instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        options = options.replace(knowledge_cache=knowledge_cache)
-    if enforce_locality is not _UNSET:
+    if enforce_locality is not None:
         options = options.replace(enforce_locality=enforce_locality)
     if options.enforce_locality:
         violations = locality_violations(nes)

@@ -71,10 +71,6 @@ REQUESTABLE_OPTION_FIELDS: Tuple[str, ...] = (
     "backend",
     "max_workers",
     "compile_retries",
-    "symbolic_extract",
-    "knowledge_cache",
-    "ordered_insert",
-    "ast_memo",
     "field_order",
     "enforce_locality",
     "tag_field",

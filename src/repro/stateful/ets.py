@@ -20,11 +20,14 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from ..events.event import Event
 from ..netkat.ast import Policy
 from .ast import StateVector, validate_state_references
-from .events import EventEdge, extract
-from .projection import project
+from .events import EventEdge
 from .symbolic import SymbolicProgram
 
 __all__ = ["ETS", "build_ets"]
+
+
+def _edge_order(edge: EventEdge) -> Tuple[str, StateVector]:
+    return (repr(edge.event), edge.dst)
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,7 @@ class ETS:
             for e in self.edges:
                 grouped.setdefault(e.src, []).append(e)
             index = {
-                src: tuple(sorted(es, key=lambda e: (repr(e.event), e.dst)))
-                for src, es in grouped.items()
+                src: tuple(sorted(es, key=_edge_order)) for src, es in grouped.items()
             }
             object.__setattr__(self, "_out_edges", index)
         return index.get(state, ())
@@ -127,7 +129,6 @@ def build_ets(
     initial: StateVector,
     state_space: Optional[Iterable[StateVector]] = None,
     max_states: int = 10_000,
-    symbolic_extract: bool = True,
     symbolic: Optional[object] = None,
 ) -> ETS:
     """Construct ``ETS(program)`` from the initial state.
@@ -136,13 +137,12 @@ def build_ets(
     pass ``state_space`` to force a specific vertex set (every reachable
     state must be included in it).
 
-    With ``symbolic_extract`` (the default) the program is partially
-    evaluated **once** over all state-component values
+    The program is partially evaluated **once** over all
+    state-component values
     (:class:`~repro.stateful.symbolic.SymbolicProgram`) and the BFS
     instantiates each state's edges and configuration from the guarded
-    result -- near-linear in the chain depth for the cap apps, and
-    byte-identical to the retained per-state ``extract``/``project``
-    reference walks (``symbolic_extract=False``).
+    result -- near-linear in the chain depth for the cap apps, and equal
+    per state to the Figure 5-6 ``extract``/``project`` walks.
 
     ``symbolic`` is the *instantiation seam*: any object providing
     ``edges_at(state)`` and ``configuration_at(state)``.  Pass a
@@ -151,9 +151,12 @@ def build_ets(
     :class:`repro.pipeline.Pipeline` does — or a patched source that
     serves unaffected states from a previous ETS, as
     :meth:`repro.pipeline.Pipeline.update` does.  Whatever the source,
-    per-state results must equal the reference walks'; the BFS applies
-    the same identity-edge filter either way (already-filtered reused
-    edges pass through it unchanged).
+    per-state results must equal the ``extract``/``project`` walks'
+    (the test suite's per-state oracle goes through this seam too).
+    The BFS applies the same identity-edge filter either way
+    (already-filtered reused edges pass through it unchanged) and visits
+    each state's edges in canonical ``(repr(event), dst)`` order, so the
+    vertex order does not depend on the hash seed.
     """
     allowed: Optional[Set[StateVector]] = (
         set(state_space) if state_space is not None else None
@@ -163,14 +166,15 @@ def build_ets(
     # Projection prunes dead segments without walking their bodies, so
     # out-of-range state references are checked once for the whole program.
     validate_state_references(program, len(initial))
-    if symbolic is None and symbolic_extract:
+    if symbolic is None:
         symbolic = SymbolicProgram(program)
-    if symbolic is not None:
-        edges_of = symbolic.edges_at
-        config_of = symbolic.configuration_at
-    else:
-        edges_of = lambda s: extract(program, s).edges  # noqa: E731
-        config_of = lambda s: project(program, s)  # noqa: E731
+    config_of = symbolic.configuration_at
+
+    def edges_of(state: StateVector) -> List[EventEdge]:
+        # Edge sources hand back sets; iterating one directly would make
+        # the BFS discovery order (and so the vertex order) follow the
+        # hash seed.
+        return sorted(symbolic.edges_at(state), key=_edge_order)
 
     visited: Set[StateVector] = {initial}
     order: List[StateVector] = [initial]

@@ -24,13 +24,15 @@ Instantiating a concrete state is then a cheap guard filter
 of a fresh AST walk, which makes ETS construction near-linear in the
 chain depth for the cap apps.
 
-Byte identity with the per-state reference path
-(``CompileOptions(symbolic_extract=False)``) is load-bearing: both
-walks apply the *same* smart constructors and formula combinators in
-the *same* order, so for every state consistent with a guard the
-instantiated edges, formulas, and configuration policies are equal --
-the goldens in ``tests/test_pipeline.py`` and the seeded property test
-in ``tests/test_differential.py`` pin this.
+Equality with the per-state walks (:func:`~repro.stateful.events.extract`
+and :func:`~repro.stateful.projection.project`) is load-bearing: both
+apply the *same* smart constructors and formula combinators in the
+*same* order, so for every state consistent with a guard the
+instantiated edges, formulas, and configuration policies are equal.
+The test suite builds ETSs from those walks through the ``build_ets``
+instantiation seam (``tests/oracles/``) and compares them with this
+engine's byte for byte: the goldens in ``tests/test_pipeline.py`` and
+the seeded property test in ``tests/test_differential.py``.
 """
 
 from __future__ import annotations

@@ -1,44 +1,34 @@
 """Golden tests: the perf-wave caches must be invisible.
 
-The ordered-insert ITE strategy in the FDD algebra and the per-builder
-knowledge-FDD cache in the path compiler are pure optimizations; both
-can be switched off (``CompileOptions(ordered_insert=False,
-knowledge_cache=False)``), and this module asserts the guarded tables
-they produce are byte-identical on every seed application.  It also
-covers the memoized ``CompiledNES.guarded_tables``: cache reuse,
+The ordered-insert ITE strategy in the FDD algebra, the id-keyed AST
+memos and the per-builder knowledge-FDD cache in the path compiler are
+pure optimizations.  Their uncached forms live in the test oracle
+``oracles.ReferenceFDDBuilder``, and this module asserts the guarded
+tables both produce are byte-identical on every seed application.  It
+also covers the memoized ``CompiledNES.guarded_tables``: cache reuse,
 defensive copies, and explicit invalidation.
 """
 
 import pytest
 
-from repro import CompileOptions, Pipeline
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.netkat.compiler import Knowledge, knowledge_fdd
 from repro.netkat.fdd import FDDBuilder
 from repro.runtime.compiler import CompiledNES
 
+from oracles import ReferenceFDDBuilder, reference_compiled
 from seed_apps import APPS, guarded_bytes
 
 
 def reference_compile(app) -> CompiledNES:
-    """Recompile with every perf-wave cache disabled."""
-    options = CompileOptions(
-        ordered_insert=False, ast_memo=False, knowledge_cache=False
-    )
-    return CompiledNES(app.nes, app.topology, options=options)
+    """Recompile the app's NES with the uncached FDD algebra."""
+    return CompiledNES(app.nes, app.topology, builder=ReferenceFDDBuilder())
 
 
 def reference_pipeline_compile(app) -> CompiledNES:
-    """The full toolchain with every fast path off: per-state
-    extract/project ETS construction plus every perf-wave cache
-    disabled."""
-    options = CompileOptions(
-        symbolic_extract=False,
-        ordered_insert=False,
-        ast_memo=False,
-        knowledge_cache=False,
-    )
-    return Pipeline(app.program, app.topology, app.initial_state, options).compiled
+    """The full toolchain on the oracles: per-state extract/project ETS
+    construction plus the uncached FDD algebra."""
+    return reference_compiled(app.program, app.topology, app.initial_state)
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
@@ -49,9 +39,8 @@ def test_guarded_tables_byte_identical(name, make):
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
 def test_guarded_tables_byte_identical_symbolic_off(name, make):
-    """Symbolic all-states extraction stacked with the cache
-    off-switches: the full fast-path pipeline (app defaults) against the
-    everything-off reference, end to end."""
+    """Symbolic all-states extraction stacked with the caches: the full
+    production pipeline against the all-oracle build, end to end."""
     app = make()
     assert guarded_bytes(app.compiled) == guarded_bytes(
         reference_pipeline_compile(app)
@@ -90,6 +79,24 @@ class TestKnowledgeFddCache:
         builder = FDDBuilder()
         k = Knowledge(pos=(("sw", 2),), neg=(("ip_src", (0, 1)),))
         assert knowledge_fdd(builder, k) is builder.of_predicate(k.predicate())
+
+    def test_oracle_compiles_every_knowledge_predicate_afresh(self):
+        builder = ReferenceFDDBuilder()
+        k = Knowledge(pos=(("sw", 2),), neg=(("ip_src", (0, 1)),))
+        calls = []
+        original = builder.of_predicate
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        builder.of_predicate = counted
+        first = knowledge_fdd(builder, k)
+        walked = len(calls)
+        assert walked > 0
+        assert knowledge_fdd(builder, k) is first  # hash-consed, not cached
+        assert len(calls) == 2 * walked  # the whole AST walked again
+        assert repr(first) == repr(knowledge_fdd(FDDBuilder(), k))
 
 
 class TestGuardedTableMemo:

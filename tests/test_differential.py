@@ -3,8 +3,9 @@
 A seeded random generator produces link-free NetKAT policies (filters,
 modifications, union, sequence, star) over the seed apps' field
 vocabulary.  Each policy is compiled three ways -- to an FDD with the
-ordered-insert splice, to an FDD with the retained mask/union reference
-strategy, and on to a prioritized flow table -- and all three are checked
+ordered-insert splice, to an FDD with the mask/union route of the test
+oracle ``oracles.ReferenceFDDBuilder``, and on to a prioritized flow
+table -- and all three are checked
 against direct evaluation in :mod:`repro.netkat.semantics` on random
 packets.  This is the harness that proves the perf-wave caching layers
 invisible: any divergence between the fast paths and the ground-truth
@@ -40,13 +41,14 @@ from repro.netkat.ast import (
 from repro.netkat.ast import link
 from repro.netkat.fdd import FDDBuilder
 from repro.netkat.flowtable import table_of_fdd
-from repro.pipeline import CompileOptions
 from repro.netkat.packet import Packet
 from repro.netkat.semantics import eval_packet
 from repro.stateful.ast import StateTest, link_update
 from repro.stateful.events import extract
 from repro.stateful.projection import project
 from repro.stateful.symbolic import SymbolicProgram
+
+from oracles import ReferenceFDDBuilder
 
 # The field vocabulary shared by the seed applications (plus the two
 # location fields, which exercise the head of the FDD field order).
@@ -101,7 +103,7 @@ def random_packet(rng: random.Random) -> Packet:
 def assert_differential(policy: Policy, packets) -> None:
     """FDD eval, reference-FDD eval, and table apply all match semantics."""
     fast = FDDBuilder()
-    ref = CompileOptions(ordered_insert=False).make_builder()
+    ref = ReferenceFDDBuilder()
     d_fast = fast.of_policy(policy)
     d_ref = ref.of_policy(policy)
     # The two strategies must build the same canonical diagram.
@@ -134,7 +136,7 @@ def test_deep_random_policies_match_semantics(seed):
 
 
 def test_known_out_of_order_splice():
-    """A hand-picked case that forces _ite_test to reorder branches:
+    """A hand-picked case that forces ite_test to reorder branches:
     the assignment decides a later test, then an earlier field is tested."""
     policy = seq(
         assign("ip_dst", 1),

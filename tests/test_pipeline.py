@@ -4,8 +4,10 @@ The pipeline's scale knobs must be invisible in the output: the thread
 backend, the persistent artifact cache (cold and warm), and the façade
 itself all have to produce guarded tables byte-identical to the legacy
 direct ``build_ets -> nes_of_ets -> compile_nes`` path, on every seed
-application.  The deprecation shims must keep old spellings working --
-with a warning -- and identical results.
+application, and to an artifact built entirely from the test oracles
+(per-state ETS walks, uncached FDD algebra).  The fast-vs-reference
+knobs that used to select those oracles inside the product are gone,
+and their old spellings fail loudly.
 """
 
 import pickle
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import CompileOptions, Delta, Pipeline, compile_app
+from repro import pipeline as pipeline_module
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.events.ets_to_nes import nes_of_ets
 from repro.netkat.fdd import FDDBuilder
@@ -22,7 +25,11 @@ from repro.pipeline import ArtifactCache, artifact_digest
 from repro.runtime.compiler import CompiledNES, compile_nes
 from repro.stateful.ets import build_ets
 
+from oracles import per_state_ets, reference_compiled
 from seed_apps import APPS, guarded_bytes
+
+# The fast-vs-reference knobs retired into tests/oracles/.
+REMOVED_KNOBS = ("symbolic_extract", "knowledge_cache", "ordered_insert", "ast_memo")
 
 
 def legacy_compile(app) -> CompiledNES:
@@ -64,34 +71,75 @@ def test_backends_cache_and_facade_byte_identical(name, make, tmp_path):
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
 def test_symbolic_extract_byte_identical(name, make):
-    """The symbolic all-states engine (the default) must produce ETS
-    vertices/edges and guarded tables byte-identical to the per-state
-    extract/project reference walks."""
+    """The symbolic all-states engine must produce ETS vertices/edges
+    and guarded tables byte-identical to the per-state extract/project
+    walks of the oracle (whose tables also go through the uncached FDD
+    algebra)."""
     app = make()
     fast = Pipeline(app.program, app.topology, app.initial_state)
-    reference = Pipeline(
-        app.program,
-        app.topology,
-        app.initial_state,
-        CompileOptions(symbolic_extract=False),
+    reference = per_state_ets(app.program, app.initial_state)
+    assert fast.ets.initial == reference.initial
+    assert fast.ets.vertices == reference.vertices
+    assert fast.ets.edges == reference.edges
+    assert repr(fast.ets) == repr(reference)
+    assert guarded_bytes(fast.compiled) == guarded_bytes(
+        reference_compiled(app.program, app.topology, app.initial_state)
     )
-    assert fast.ets.initial == reference.ets.initial
-    assert fast.ets.vertices == reference.ets.vertices
-    assert fast.ets.edges == reference.ets.edges
-    assert repr(fast.ets) == repr(reference.ets)
-    assert guarded_bytes(fast.compiled) == guarded_bytes(reference.compiled)
 
 
-def test_symbolic_extract_is_in_the_artifact_key():
+_SEED_PROBE = """
+import hashlib, json
+from repro.pipeline import Pipeline
+from seed_apps import APPS, guarded_bytes
+out = {}
+for name, make in APPS:
+    app = make()
+    pipeline = Pipeline(app.program, app.topology, app.initial_state)
+    out[name] = {
+        "vertices": repr(pipeline.ets.vertices),
+        "tables": hashlib.sha256(guarded_bytes(pipeline.compiled)).hexdigest(),
+    }
+print(json.dumps(out))
+"""
+
+
+def test_ets_and_tables_independent_of_hash_seed():
+    """The BFS visits each state's edges in a canonical order, so the
+    ETS vertex order -- and with it every table -- is the same under any
+    hash seed (seed 59 once swapped learning_multi's (0, 1) and (1, 0))."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    tests_dir = Path(__file__).parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    runs = {}
+    for seed in ("0", "7", "59"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[seed] = json.loads(done.stdout)
+    assert sorted(runs["0"]) == sorted(name for name, _ in APPS)
+    assert runs["7"] == runs["0"]
+    assert runs["59"] == runs["0"]
+
+
+def test_artifact_key_changed_with_the_options_fingerprint(monkeypatch):
+    """Format 3 dropped the retired knobs from the options fingerprint,
+    so an entry cached under format 2 must miss, not be served."""
     app = firewall_app()
     base = CompileOptions()
-    assert artifact_digest(
+    fingerprint = base.semantic_fingerprint()
+    assert not any(name in fingerprint for name in REMOVED_KNOBS)
+    assert pipeline_module.ARTIFACT_FORMAT == 3
+    current = artifact_digest(app.program, app.topology, app.initial_state, base)
+    monkeypatch.setattr(pipeline_module, "ARTIFACT_FORMAT", 2)
+    assert current != artifact_digest(
         app.program, app.topology, app.initial_state, base
-    ) != artifact_digest(
-        app.program,
-        app.topology,
-        app.initial_state,
-        base.replace(symbolic_extract=False),
     )
 
 
@@ -109,15 +157,6 @@ def test_report_shows_the_symbolic_vs_instantiate_split():
         sum(s for _, s in report.stage_seconds)
     )
     assert "ets.symbolic" in str(report) and "ets.instantiate" in str(report)
-
-    reference = Pipeline(
-        app.program,
-        app.topology,
-        app.initial_state,
-        CompileOptions(symbolic_extract=False),
-    )
-    reference.ets
-    assert reference.report().substages == ()
 
 
 def test_app_facade_matches_legacy():
@@ -245,7 +284,7 @@ class TestArtifactCache:
             app.program,
             app.topology,
             app.initial_state,
-            base.replace(knowledge_cache=False),
+            base.replace(tag_field="cfg"),
         )
 
     def test_execution_only_options_share_the_key(self, tmp_path):
@@ -373,12 +412,12 @@ class TestCompileOptions:
         assert "~" not in str(expanded)
         assert expanded == Path("~/repro-cache").expanduser()
 
-    def test_make_builder_carries_the_knobs(self):
-        builder = CompileOptions(ordered_insert=False, ast_memo=False).make_builder()
-        assert builder.ordered_insert is False
-        assert builder.ast_memo is False
+    def test_make_builder_carries_the_field_order(self):
+        builder = CompileOptions(field_order=("ip_dst", "sw")).make_builder()
+        assert builder.order.test_key("ip_dst", 9) < builder.order.test_key("sw", 0)
         default = CompileOptions().make_builder()
-        assert default.ordered_insert is True and default.ast_memo is True
+        assert default.order.test_key("sw", 9) < default.order.test_key("ip_dst", 0)
+        assert builder is not default
 
 
 def test_compile_app_forms():
@@ -404,33 +443,35 @@ def test_compile_app_forms():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: old spellings warn but produce identical results
+# Retired knobs: their old spellings fail loudly
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecationShims:
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("name", REMOVED_KNOBS)
+    def test_compile_options_rejects_removed_knob(self, name):
+        with pytest.raises(TypeError, match=name):
+            CompileOptions(**{name: False})
+        with pytest.raises(TypeError, match=name):
+            CompileOptions().replace(**{name: False})
+
     def test_compile_nes_knowledge_cache_kwarg(self):
         app = firewall_app()
-        with pytest.warns(DeprecationWarning, match="CompileOptions"):
-            old = compile_nes(app.nes, app.topology, knowledge_cache=False)
-        new = compile_nes(
-            app.nes, app.topology, options=CompileOptions(knowledge_cache=False)
-        )
-        assert old.options.knowledge_cache is False
-        assert guarded_bytes(old) == guarded_bytes(new) == guarded_bytes(app.compiled)
+        with pytest.raises(TypeError, match="knowledge_cache"):
+            compile_nes(app.nes, app.topology, knowledge_cache=False)
+        with pytest.raises(TypeError, match="knowledge_cache"):
+            CompiledNES(app.nes, app.topology, knowledge_cache=False)
 
     def test_fddbuilder_ordered_insert_kwarg(self):
-        from repro.netkat.ast import assign, filter_, seq, test, union
+        with pytest.raises(TypeError, match="ordered_insert"):
+            FDDBuilder(ordered_insert=False)
+        with pytest.raises(TypeError, match="ast_memo"):
+            FDDBuilder(ast_memo=False)
 
-        link_free = union(
-            seq(filter_(test("pt", 2)), assign("pt", 1), assign("ip_dst", 4)),
-            seq(assign("ip_src", 1), filter_(test("pt", 1)), assign("pt", 2)),
-        )
-        with pytest.warns(DeprecationWarning, match="CompileOptions"):
-            old = FDDBuilder(ordered_insert=False, ast_memo=False)
-        new = CompileOptions(ordered_insert=False, ast_memo=False).make_builder()
-        assert old.ordered_insert is False and old.ast_memo is False
-        assert repr(old.of_policy(link_free)) == repr(new.of_policy(link_free))
+    def test_build_ets_symbolic_extract_kwarg(self):
+        app = firewall_app()
+        with pytest.raises(TypeError, match="symbolic_extract"):
+            build_ets(app.program, app.initial_state, symbolic_extract=False)
 
     def test_default_construction_does_not_warn(self):
         with warnings.catch_warnings():
@@ -618,18 +659,16 @@ class TestPipelineUpdate:
         )
 
     def test_reference_extraction_path_matches_cold_rebuild(self):
+        # The update against a cold artifact built from the oracles:
+        # per-state ETS walks and the uncached FDD algebra.
         app = firewall_app()
-        options = CompileOptions(symbolic_extract=False)
-        base = Pipeline(app.program, app.topology, app.initial_state, options)
+        base = Pipeline(app.program, app.topology, app.initial_state)
         delta = Delta(set_state=((0, 1),))
-        cold = Pipeline(
-            app.program,
-            app.topology,
-            delta.apply_initial_state(app.initial_state),
-            options,
-        )
-        assert guarded_bytes(base.update(delta).compiled) == guarded_bytes(
-            cold.compiled
+        updated = base.update(delta)
+        initial = delta.apply_initial_state(app.initial_state)
+        assert updated.ets.vertices == per_state_ets(app.program, initial).vertices
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            reference_compiled(app.program, app.topology, initial)
         )
 
     def test_unaffected_configurations_are_reused_not_recompiled(self):
@@ -741,7 +780,7 @@ class TestAppPipelineMemo:
         app = firewall_app()
         first = app.pipeline
         assert app.pipeline is first  # unchanged inputs share the pipeline
-        fresh = CompileOptions(symbolic_extract=False)
+        fresh = CompileOptions(max_frontier=64)
         object.__setattr__(app, "options", fresh)
         second = app.pipeline
         assert second is not first

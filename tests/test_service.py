@@ -338,6 +338,25 @@ class TestProtocolErrors:
             assert excinfo.value.status == 400
             assert excinfo.value.code == "bad_options"
 
+    @pytest.mark.parametrize(
+        "removed",
+        ["symbolic_extract", "knowledge_cache", "ordered_insert", "ast_memo"],
+    )
+    def test_removed_option_fields_are_rejected(self, shared_service, removed):
+        # Retired fast-vs-reference knobs: a client still sending one
+        # gets a 400 naming the field, never a silently ignored option.
+        app = firewall_app()
+        with pytest.raises(ServiceError) as excinfo:
+            shared_service.compile(
+                app.program, app.topology, app.initial_state,
+                options={removed: False},
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_options"
+        assert removed in str(excinfo.value)
+        with pytest.raises(protocol.ProtocolError, match=removed):
+            protocol.options_from_wire({removed: False}, CompileOptions())
+
     def test_unknown_option_field_fails_loudly(self, shared_service):
         app = firewall_app()
         with pytest.raises(ServiceError) as excinfo:

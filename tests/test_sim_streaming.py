@@ -1,66 +1,68 @@
-"""Heavy-traffic streaming goldens: the SimOptions knobs change speed,
-never behaviour.
+"""Heavy-traffic streaming goldens: the fast simulator path changes
+speed, never behaviour.
 
-Every test here pins the record-identity contract of
-:class:`repro.sim_options.SimOptions`: the off-position
-(``mask_digests=False, batch=False``) is the retained frozenset
-reference path, and every knob combination must produce byte-identical
-``DeliveryRecord``/``DropRecord`` sequences and checker verdicts.  The
-satellites ride along: the static egress map, the lazy checker
-enumeration, the delivery indices, and seeded determinism.
+Every scenario of ``sim_records.py`` is run four ways -- the production
+``CorrectLogic`` and the frozenset ``oracles.ReferenceLogic``, each fed
+through ``SimNetwork.inject_stream`` and through per-frame
+``SimNetwork.inject`` -- and every run must reproduce the
+``DeliveryRecord``/``DropRecord`` sequences in
+``golden/sim_records.json``, recorded with the eager-heap frozenset
+scheduler the lazy FIFO heap replaced.  Checker verdicts are compared
+against the frozenset ``oracles.ReferenceChecker``.  The satellites ride
+along: the static egress map, the lazy checker enumeration, the
+delivery indices, and seeded determinism.
 """
+
+from functools import lru_cache
 
 import pytest
 
-from repro.apps import (
-    SIGNAL_FIELD,
-    authentication_app,
-    bandwidth_cap_app,
-    firewall_app,
-    ids_app,
-    learning_multi_app,
-    learning_switch_app,
-    ring_app,
-)
+from repro.apps import learning_multi_app, ring_app
 from repro.apps.base import HOSTS
 from repro.consistency import NESChecker
-from repro.netkat.packet import Packet
-from repro.network import (
-    CorrectLogic,
-    Frame,
-    FrameBatch,
-    SimNetwork,
-    SimOptions,
-)
-from repro.sim_options import REFERENCE_SIM_OPTIONS
+from repro.consistency.traces import position_event_masks
+from repro.network import CorrectLogic, FrameBatch, SimNetwork
 from repro.topology import Host
 
-# Every knob combination; index 0 is the reference path.
-ALL_OPTIONS = (
-    REFERENCE_SIM_OPTIONS,
-    SimOptions(mask_digests=False, batch=True),
-    SimOptions(mask_digests=True, batch=False),
-    SimOptions(mask_digests=True, batch=True),
-)
+import sim_records
+from oracles import ReferenceChecker, ReferenceLogic, inject_per_frame
 
-APPS = (
-    ("firewall", firewall_app),
-    ("ids", ids_app),
-    ("authentication", authentication_app),
-    ("ring", lambda: ring_app(2)),
-    ("bandwidth_cap", bandwidth_cap_app),
-    ("learning_switch", learning_switch_app),
-    ("learning_multi", learning_multi_app),
-)
+APPS = sim_records.APPS
 
 
-def _stream_records(make_app, options, src, dst, count, spacing=1e-5,
-                    signal=None):
-    """Run a constant-header stream (plus an optional mid-stream signal
-    frame) and return the full record sequences."""
+def _inject_stream(net, host, batch):
+    net.inject_stream(host, batch)
+
+
+LOGICS = {
+    "correct": lambda app: CorrectLogic(app.compiled),
+    "reference": lambda app: ReferenceLogic(app.compiled),
+}
+FEEDS = {"stream": _inject_stream, "per_frame": inject_per_frame}
+# Every (logic, feed) pairing; the first is the production path.
+PATHS = [(logic, feed) for logic in LOGICS for feed in FEEDS]
+
+
+@lru_cache(maxsize=None)
+def _golden():
+    return sim_records.load_golden()
+
+
+def _run(scenario, logic="correct", feed="stream"):
+    return sim_records.SCENARIOS[scenario](LOGICS[logic], FEEDS[feed])
+
+
+def _assert_golden(scenario):
+    expected = _golden()[scenario]
+    for logic, feed in PATHS:
+        records = sim_records.serialize(_run(scenario, logic, feed))
+        assert records == expected, f"{scenario} @ {logic}/{feed}"
+
+
+def _stream_records(make_app, src, dst, count, spacing=1e-5):
+    """Run a constant-header stream through the production path."""
     app = make_app()
-    logic = CorrectLogic(app.compiled, options=options)
-    net = SimNetwork(app.topology, logic, seed=7, options=options)
+    net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
     batch = FrameBatch(
         {"ip_src": HOSTS[src], "ip_dst": HOSTS[dst], "kind": 0, "ident": 0},
         count,
@@ -69,108 +71,59 @@ def _stream_records(make_app, options, src, dst, count, spacing=1e-5,
         spacing=spacing,
     )
     net.inject_stream(src, batch)
-    if signal is not None:
-        at, host, fields = signal
-        net.inject(host, Frame(packet=Packet(fields), flow=("signal",)), at=at)
     net.run()
     return net, tuple(net.deliveries), tuple(net.drops)
 
 
 class TestRecordIdentityGoldens:
-    """Same records under every knob combination, on every seed app."""
+    """Same records on every path, on every seed app, as recorded."""
 
-    @pytest.mark.parametrize("name,make_app", APPS, ids=[n for n, _ in APPS])
-    def test_stream_records_identical_across_knobs(self, name, make_app):
-        hosts = [h.name for h in make_app().topology.hosts]
-        src, dst = hosts[0], hosts[-1]
-        _, ref_deliveries, ref_drops = _stream_records(
-            make_app, REFERENCE_SIM_OPTIONS, src, dst, 120
-        )
+    def test_golden_covers_every_scenario(self):
+        assert sorted(_golden()) == sorted(sim_records.SCENARIOS)
+
+    @pytest.mark.parametrize("name", [n for n, _ in APPS])
+    def test_stream_records_identical_across_paths(self, name):
         # Every scenario must actually exercise the data plane.
-        assert len(ref_deliveries) + len(ref_drops) >= 120
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                make_app, options, src, dst, 120
-            )
-            assert deliveries == ref_deliveries, f"{name} @ {options}"
-            assert drops == ref_drops, f"{name} @ {options}"
+        golden = _golden()[f"app/{name}"]
+        assert len(golden["deliveries"]) + len(golden["drops"]) >= 120
+        _assert_golden(f"app/{name}")
 
     def test_firewall_blocked_direction_drop_records_identical(self):
         # Figure 10/11 shape: H4->H1 is dropped until a request goes out.
-        _, ref_deliveries, ref_drops = _stream_records(
-            firewall_app, REFERENCE_SIM_OPTIONS, "H4", "H1", 80
-        )
-        assert not ref_deliveries and len(ref_drops) == 80
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                firewall_app, options, "H4", "H1", 80
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        golden = _golden()["firewall_reverse_drops"]
+        assert not golden["deliveries"] and len(golden["drops"]) == 80
+        _assert_golden("firewall_reverse_drops")
 
     def test_ring_signal_under_traffic_identical(self):
         # Figure 16 shape: a signal frame flips the ring configuration
         # in the middle of a packet stream, so plan caches and register
         # masks are invalidated while the backlog drains.
-        signal = (
-            2e-3,
-            "H1",
-            {"ip_src": 1, SIGNAL_FIELD: 1, "kind": 0, "ident": 0},
-        )
-        _, ref_deliveries, ref_drops = _stream_records(
-            lambda: ring_app(2), REFERENCE_SIM_OPTIONS, "H1", "H2", 400,
-            signal=signal,
-        )
-        assert len(ref_deliveries) == 401  # 400 stream + the signal
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                lambda: ring_app(2), options, "H1", "H2", 400, signal=signal
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        assert len(_golden()["ring_signal_mid_stream"]["deliveries"]) == 401
+        _assert_golden("ring_signal_mid_stream")
 
     def test_bandwidth_cap_stream_identical(self):
         # Figure 14 shape: a bulk stream through the capped chain.
-        _, ref_deliveries, ref_drops = _stream_records(
-            bandwidth_cap_app, REFERENCE_SIM_OPTIONS, "H1", "H4", 200,
-            spacing=1e-6,
-        )
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                bandwidth_cap_app, options, "H1", "H4", 200, spacing=1e-6
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        _assert_golden("bandwidth_cap_stream")
 
     def test_unsorted_times_column_identical(self):
         # An explicitly unsorted times column defeats the lazy one-ahead
-        # chain; the eager fallback must stay record-identical too.
-        def run(options):
-            app = ring_app(2)
-            net = SimNetwork(
-                app.topology,
-                CorrectLogic(app.compiled, options=options),
-                seed=7,
-                options=options,
-            )
-            batch = FrameBatch(
-                {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-                6,
-                payload_bytes=64,
-                times=[5e-4, 1e-4, 3e-4, 2e-4, 6e-4, 0.0],
-            )
-            net.inject_stream("H1", batch)
-            net.run()
-            return tuple(net.deliveries), tuple(net.drops)
+        # chain; the up-front fallback must reproduce the records too.
+        _assert_golden("unsorted_times")
 
-        reference = run(REFERENCE_SIM_OPTIONS)
-        for options in ALL_OPTIONS[1:]:
-            assert run(options) == reference
+    def test_golden_is_hash_seed_independent(self):
+        # Event sets are serialized sorted by repr (a record's frame is
+        # its third column; tag and digest are the frame's third and
+        # fourth).
+        for runs in _golden().values():
+            for row in runs["deliveries"] + runs["drops"]:
+                _, _, tag, digest, *_ = row[2]
+                assert tag is None or tag == sorted(tag)
+                assert digest == sorted(digest)
 
 
 class TestCheckerVerdictIdentity:
-    """Definition 6 verdicts agree between the mask path and the
-    frozenset reference path on runtime traces from the seed apps."""
+    """Definition 6 verdicts agree between the production checker and
+    the frozenset oracle on runtime traces from the seed apps."""
 
     @pytest.mark.parametrize("name,make_app", APPS, ids=[n for n, _ in APPS])
     def test_verdicts_identical(self, name, make_app):
@@ -182,14 +135,13 @@ class TestCheckerVerdictIdentity:
             rt.inject(src, {"ip_dst": HOSTS[dst], "ip_src": HOSTS[src], "ident": i})
             rt.run_until_quiescent()
         trace = rt.network_trace()
-        masked = NESChecker(
-            app.nes, app.topology, options=SimOptions(mask_digests=True)
-        ).check(trace)
-        reference = NESChecker(
-            app.nes, app.topology, options=SimOptions(mask_digests=False)
-        ).check(trace)
+        checker = NESChecker(app.nes, app.topology)
+        oracle = ReferenceChecker(app.nes, app.topology)
+        masked = checker.check(trace)
+        reference = oracle.check(trace)
         assert bool(masked) == bool(reference)
         assert masked.reason == reference.reason
+        assert checker.sequences_tried == oracle.sequences_tried
 
 
 class TestLazyCheckerEnumeration:
@@ -208,7 +160,8 @@ class TestLazyCheckerEnumeration:
         checker = NESChecker(app.nes, app.topology)
         report = checker.check(trace)
         assert report
-        total = sum(1 for _ in checker._candidate_sequences(trace))
+        masks = position_event_masks(trace, app.nes.structure.universe)
+        total = sum(1 for _ in checker._candidate_sequences(masks))
         assert 1 <= checker.sequences_tried < total
 
 
@@ -231,47 +184,21 @@ class TestEgressMap:
             at = host.attachment
             assert net._ports[at.switch][at.port] is host
 
-    def test_flood_emission_order_identical_across_knobs(self):
+    def test_flood_emission_order_identical_across_paths(self):
         # Multi-emit (flood) outputs must come out in the same port
         # order on the plan-replay path as on the reference path.
-        _, ref_deliveries, ref_drops = _stream_records(
-            learning_switch_app, REFERENCE_SIM_OPTIONS, "H1", "H4", 60
-        )
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                learning_switch_app, options, "H1", "H4", 60
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        flood = _golden()["learning_switch_flood"]["deliveries"]
+        assert len(flood) == 120 and {row[1] for row in flood} == {"H1", "H2"}
+        _assert_golden("learning_switch_flood")
 
 
 class TestDeliveryIndices:
-    def _mixed_flow_net(self, options):
-        app = ring_app(2)
-        net = SimNetwork(
-            app.topology,
-            CorrectLogic(app.compiled, options=options),
-            seed=7,
-            options=options,
-        )
-        for ident, flow in enumerate(
-            [("bulk", "H1", "H2"), ("ping", "H1", "H2"), ("bulk", "H1", "H2")]
-        ):
-            batch = FrameBatch(
-                {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": ident},
-                40,
-                payload_bytes=64,
-                flow=flow,
-                start=ident * 1e-5,
-                spacing=3e-5,
-            )
-            net.inject_stream("H1", batch)
-        net.run()
-        return net
+    def test_mixed_flows_match_golden(self):
+        _assert_golden("mixed_flows")
 
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=str)
-    def test_indices_match_full_scan(self, options):
-        net = self._mixed_flow_net(options)
+    @pytest.mark.parametrize("logic,feed", PATHS, ids=[f"{l}-{f}" for l, f in PATHS])
+    def test_indices_match_full_scan(self, logic, feed):
+        net = _run("mixed_flows", logic, feed)
         assert len(net.deliveries) == 120
         for host in ("H1", "H2"):
             scan = [r for r in net.deliveries if r.host == host]
@@ -285,7 +212,7 @@ class TestDeliveryIndices:
             assert net.delivered_flows(prefix) == scan
 
     def test_indices_fold_incrementally_between_runs(self):
-        net = self._mixed_flow_net(SimOptions())
+        net = _run("mixed_flows")
         first = net.deliveries_to("H2")
         batch = FrameBatch(
             {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 9},
@@ -301,33 +228,20 @@ class TestDeliveryIndices:
         assert net.delivered_flows(("late",)) == net.deliveries[-10:]
 
 
-class TestDeterminismAndOptions:
+class TestDeterminism:
     def test_same_seed_same_records_in_one_process(self):
-        runs = [
-            _stream_records(lambda: ring_app(2), SimOptions(), "H1", "H2", 300)
-            for _ in range(2)
-        ]
+        runs = [_stream_records(lambda: ring_app(2), "H1", "H2", 300) for _ in range(2)]
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
         assert runs[0][0].sim.events_processed == runs[1][0].sim.events_processed
-
-    def test_sim_options_frozen_defaults(self):
-        options = SimOptions()
-        assert options.mask_digests and options.batch
-        assert REFERENCE_SIM_OPTIONS == SimOptions(
-            mask_digests=False, batch=False
-        )
-        with pytest.raises(Exception):
-            options.batch = False
 
     def test_plan_cache_invalidated_by_external_register_mutation(self):
         # Mutating logic.registers[sw] directly (the documented test
         # surface) must bump the plan generation so stale emission plans
         # are never replayed.
         app = ring_app(2)
-        options = SimOptions()
-        logic = CorrectLogic(app.compiled, options=options)
-        net = SimNetwork(app.topology, logic, seed=7, options=options)
+        logic = CorrectLogic(app.compiled)
+        net = SimNetwork(app.topology, logic, seed=7)
         net.inject_stream(
             "H1",
             FrameBatch(
@@ -350,11 +264,7 @@ class TestMillionFrameSoak:
     def test_million_frame_stream_delivers_all_and_matches_reference_prefix(self):
         count = 1_000_000
         app = ring_app(2)
-        options = SimOptions()
-        net = SimNetwork(
-            app.topology, CorrectLogic(app.compiled, options=options),
-            seed=7, options=options,
-        )
+        net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
         batch = FrameBatch(
             {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
             count,
@@ -368,15 +278,11 @@ class TestMillionFrameSoak:
         assert net.sim.events_processed == 6 * count
         # Switch service is FIFO, so the first frames' records are
         # unaffected by the later backlog: the soak's prefix must be
-        # byte-identical to a reference-path run of just that prefix.
+        # byte-identical to a reference-logic run of just that prefix.
         sample = 2000
-        ref = SimNetwork(
-            app.topology,
-            CorrectLogic(app.compiled, options=REFERENCE_SIM_OPTIONS),
-            seed=7,
-            options=REFERENCE_SIM_OPTIONS,
-        )
-        ref.inject_stream(
+        ref = SimNetwork(app.topology, ReferenceLogic(app.compiled), seed=7)
+        inject_per_frame(
+            ref,
             "H1",
             FrameBatch(
                 {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
